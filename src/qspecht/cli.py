@@ -22,7 +22,7 @@ from .specht import (
 )
 
 # above this module dimension, `verify` checks the defining relations on the
-# generator vector instead of as full matrix identities (see --full)
+# generator vector instead of on every basis vector (see --full)
 FULL_RELATION_DIM_LIMIT = 150
 
 

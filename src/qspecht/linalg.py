@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the scalar domains.
 
-Matrix products work over both domains; kernels and ranks need a field,
-so they require a root-of-unity domain (specialize generic matrices
-first).  Kernel bases are echelon-normalized and therefore deterministic.
+Matrix products work over both domains; kernels, ranks and invariant-subspace
+closures need a field, so they require a root-of-unity domain (specialize
+generic matrices first).  All three share one incremental reduced row echelon
+routine.  Kernel bases are echelon-normalized and therefore deterministic.
 """
 
 from __future__ import annotations
@@ -118,10 +119,6 @@ class Matrix:
         )
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a * b
-
-
 def vstack(blocks: list[Matrix], domain: ScalarDomain, cols: int) -> Matrix:
     rows = []
     for block in blocks:
@@ -145,35 +142,49 @@ def _require_field(m: Matrix):
         raise ValueError("kernel/rank need a field domain; specialize at a root of unity first")
 
 
-def _rref(m: Matrix) -> tuple[list[list], list[int]]:
-    rows = [list(row) for row in m.entries]
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(m.cols):
-        found = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col]:
-                found = r
-                break
-        if found is None:
-            continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        rows[pivot_row] = [x / lead for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    return rows, pivots
+class _Echelon:
+    """Reduced row echelon form of the span of the vectors added so far.
+
+    Rows are keyed by pivot column; each has 1 at its pivot and 0 at every
+    other row's pivot, so the rows sorted by pivot are the unique RREF of
+    the span, whatever order the vectors came in.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, list] = {}
+
+    def add(self, coords) -> bool:
+        """Reduce the vector into the echelon; True if it was independent."""
+        coords = list(coords)
+        for pivot, row in self.rows.items():
+            factor = coords[pivot]
+            if factor:
+                coords = [a - factor * b if b else a for a, b in zip(coords, row)]
+        lead = next((c for c, x in enumerate(coords) if x), None)
+        if lead is None:
+            return False
+        inv = coords[lead].inverse()
+        coords = [inv * x if x else x for x in coords]
+        for pivot, row in self.rows.items():
+            factor = row[lead]
+            if factor:
+                self.rows[pivot] = [a - factor * b if b else a for a, b in zip(row, coords)]
+        self.rows[lead] = coords
+        return True
+
+
+def _rref(m: Matrix) -> dict[int, list]:
+    """The nonzero RREF rows of m, keyed by pivot column."""
+    echelon = _Echelon()
+    for row in m.entries:
+        echelon.add(row)
+    return echelon.rows
 
 
 def rank(m: Matrix) -> int:
     """Exact rank over a field domain."""
     _require_field(m)
-    _, pivots = _rref(m)
-    return len(pivots)
+    return len(_rref(m))
 
 
 def kernel(m: Matrix) -> tuple[Matrix, ...]:
@@ -183,14 +194,31 @@ def kernel(m: Matrix) -> tuple[Matrix, ...]:
     so the output is unique and deterministic.
     """
     _require_field(m)
-    rows, pivots = _rref(m)
+    rows = _rref(m)
     one, zero = m.domain.one(), m.domain.zero()
-    free = [c for c in range(m.cols) if c not in pivots]
     basis = []
-    for f in free:
+    for f in (c for c in range(m.cols) if c not in rows):
         coords = [zero] * m.cols
         coords[f] = one
-        for r, pc in enumerate(pivots):
-            coords[pc] = -rows[r][f] + zero
+        for pivot, row in rows.items():
+            coords[pivot] = -row[f]
         basis.append(Matrix.column(m.domain, coords))
     return tuple(basis)
+
+
+def closure_dimension(columns, matrices) -> int:
+    """Dimension of the smallest subspace that contains the column vectors
+    and is mapped into itself by every matrix."""
+    echelon = _Echelon()
+    queue = []
+    for v in columns:
+        _require_field(v)
+        if echelon.add(v.column_coords()):
+            queue.append(v)
+    while queue:
+        v = queue.pop()
+        for m in matrices:
+            image = m * v
+            if echelon.add(image.column_coords()):
+                queue.append(image)
+    return len(echelon.rows)

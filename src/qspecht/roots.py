@@ -29,7 +29,7 @@ from .combinat import (
     enumerate_standard,
     hook_count,
 )
-from .linalg import Matrix, kernel, vstack
+from .linalg import Matrix, closure_dimension, kernel, vstack
 from .scalar import root_of_unity
 from .specht import (
     SpechtVector,
@@ -224,48 +224,10 @@ def find_submodule_generators(lam: Partition, mu: Partition, p: int) -> tuple[Sp
 def submodule_dimension(lam: Partition, generators, p: int) -> int:
     """Dimension of the smallest generator-closed subspace containing them."""
     domain = root_of_unity(p)
-    n = lam.n
-    mats = [generator_matrix(lam, i, domain) for i in range(1, n)]
-    echelon: list[tuple[int, list]] = []  # (pivot index, reduced row)
-
-    def reduce_vector(coords: list) -> list | None:
-        # full reduction keeps every stored row zero at every other pivot
-        for pivot, row in echelon:
-            if coords[pivot]:
-                factor = coords[pivot]
-                coords = [a - factor * b for a, b in zip(coords, row)]
-        for idx, value in enumerate(coords):
-            if value:
-                inv = value.inverse()
-                normalized = [inv * x for x in coords]
-                for position, (pivot, row) in enumerate(echelon):
-                    if row[idx]:
-                        factor = row[idx]
-                        echelon[position] = (
-                            pivot,
-                            [a - factor * b for a, b in zip(row, normalized)],
-                        )
-                echelon.append((idx, normalized))
-                echelon.sort(key=lambda item: item[0])
-                return normalized
-        return None
-
-    queue = []
+    columns = []
     for v in generators:
         if v.shape != lam or v.domain != domain:
             raise ValueError("generator does not live in the requested module")
-        reduced = reduce_vector(list(v.coords))
-        if reduced is not None:
-            queue.append(reduced)
-    while queue:
-        coords = queue.pop()
-        for mat in mats:
-            image = [
-                sum((row[j] * coords[j] for j in range(len(coords)) if coords[j]),
-                    domain.zero())
-                for row in mat.entries
-            ]
-            reduced = reduce_vector(image)
-            if reduced is not None:
-                queue.append(reduced)
-    return len(echelon)
+        columns.append(Matrix.column(domain, v.coords))
+    mats = [generator_matrix(lam, i, domain) for i in range(1, lam.n)]
+    return closure_dimension(columns, mats)

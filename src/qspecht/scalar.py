@@ -209,20 +209,38 @@ class LaurentScalar:
         return f"LaurentScalar('{self}')"
 
 
-def _poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # long division by a monic integer polynomial; remainder must vanish
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + dn]
-        out[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num[:dn]):
-        raise ArithmeticError("inexact polynomial division")
+def _poly_mul(a, b) -> list:
+    """Product of two dense ascending coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
     return out
+
+
+def _poly_divmod(a: list, b) -> list:
+    """Divide dense ascending `a` by `b` (nonzero leading coefficient).
+
+    `a` is overwritten with the remainder, trailing zeros trimmed, and the
+    quotient is returned.  A monic divisor needs no coefficient division,
+    so integer inputs stay integers.
+    """
+    db = len(b) - 1
+    lead = b[-1]
+    monic = lead == 1
+    quo = [0] * (len(a) - db)  # empty when a is already reduced
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] if monic else a[i] / lead
+        if c:
+            quo[i - db] = c
+            for j in range(db + 1):
+                a[i - db + j] -= c * b[j]
+    while a and not a[-1]:
+        a.pop()
+    return quo
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +251,10 @@ def _cyclotomic_coeffs(p: int) -> tuple[int, ...]:
     num = [-1] + [0] * (p - 1) + [1]
     for d in range(1, p):
         if p % d == 0:
-            num = _poly_exact_div(num, _cyclotomic_coeffs(d))
+            quo = _poly_divmod(num, _cyclotomic_coeffs(d))
+            if num:
+                raise ArithmeticError("inexact polynomial division")
+            num = quo
     return tuple(num)
 
 
@@ -257,20 +278,9 @@ class CyclotomicScalar:
         if p < 3:
             raise ValueError(f"root-of-unity order must be >= 3, got {p}")
         self._p = p
-        self._coeffs = self._reduce(p, [Fraction(c) for c in coeffs])
-
-    @staticmethod
-    def _reduce(p: int, cs: list[Fraction]) -> tuple[Fraction, ...]:
-        phi = _cyclotomic_coeffs(p)
-        d = len(phi) - 1
-        for i in range(len(cs) - 1, d - 1, -1):
-            c = cs[i]
-            if c:
-                for j in range(d + 1):
-                    cs[i - d + j] -= c * phi[j]
-        while cs and not cs[-1]:
-            cs.pop()
-        return tuple(cs)
+        cs = [Fraction(c) for c in coeffs]
+        _poly_divmod(cs, _cyclotomic_coeffs(p))  # reduce modulo Phi_p in place
+        self._coeffs = tuple(cs)
 
     @classmethod
     def from_int(cls, p: int, value: int) -> "CyclotomicScalar":
@@ -344,34 +354,25 @@ class CyclotomicScalar:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return CyclotomicScalar(self._p)
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return CyclotomicScalar(self._p, out)
+        return CyclotomicScalar(self._p, _poly_mul(self._coeffs, other._coeffs))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicScalar":
         if not self._coeffs:
             raise ZeroDivisionError("cyclotomic scalar is zero")
-        # extended Euclid against Phi_p over Q[q]
-        phi = [Fraction(c) for c in _cyclotomic_coeffs(self._p)]
-        old_r, r = phi, list(self._coeffs)
-        old_t: list[Fraction] = []
-        t: list[Fraction] = [Fraction(1)]
-        while any(r):
-            quo, rem = _frac_divmod(old_r, r)
-            old_r, r = r, rem
-            old_t, t = t, _frac_sub(old_t, _frac_mul(quo, t))
-        # old_r is a nonzero constant: Phi_p is irreducible
-        c = next(x for x in old_r if x)
-        inv = [x / c for x in old_t]
-        return CyclotomicScalar(self._p, inv)
+        # extended Euclid against Phi_p; the cofactor of self is only needed
+        # modulo Phi_p, so it is kept as a residue
+        old_r = [Fraction(c) for c in _cyclotomic_coeffs(self._p)]
+        r = list(self._coeffs)
+        old_t, t = CyclotomicScalar(self._p), CyclotomicScalar.from_int(self._p, 1)
+        while r:
+            quo = _poly_divmod(old_r, r)
+            old_r, r = r, old_r
+            old_t, t = t, old_t - CyclotomicScalar(self._p, quo) * t
+        # old_r is a nonzero constant c because Phi_p is irreducible
+        (c,) = old_r
+        return CyclotomicScalar(self._p, [x / c for x in old_t._coeffs])
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -397,47 +398,6 @@ class CyclotomicScalar:
 
     def __repr__(self):
         return f"CyclotomicScalar(p={self._p}, '{self}')"
-
-
-def _frac_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    size = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-           for i in range(size)]
-    return _frac_trim(out)
-
-
-def _frac_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _frac_trim(out)
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _frac_trim(list(a))
-    b = _frac_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        c = a[-1] / lead
-        quo[shift] = c
-        for j, cb in enumerate(b):
-            a[shift + j] -= c * cb
-        _frac_trim(a)
-    return quo, a
 
 
 def specialize(x: LaurentScalar, p: int) -> CyclotomicScalar:

@@ -286,6 +286,19 @@ def apply_word(word: Iterable[int], v: SpechtVector) -> SpechtVector:
 _MATRIX_CACHE: dict = {}
 
 
+def _action_matrix(shape: Partition, act, domain: ScalarDomain) -> Matrix:
+    """Matrix of a linear action on S^shape; column j is act(v_j) for the
+    j-th standard basis tableau."""
+    basis = enumerate_standard(shape)
+    index = basis_index(shape)
+    zero = domain.zero()
+    grid = [[zero] * len(basis) for _ in basis]
+    for j, t in enumerate(basis):
+        for u, c in act({t: domain.one()}).items():
+            grid[index[u]][j] = c
+    return Matrix(domain, tuple(tuple(row) for row in grid))
+
+
 def generator_matrix(shape: Partition, i: int, domain: ScalarDomain = GENERIC) -> Matrix:
     """Matrix of h_i in the standard basis; columns are basis images."""
     _check_generator_index(i, shape.n)
@@ -293,14 +306,7 @@ def generator_matrix(shape: Partition, i: int, domain: ScalarDomain = GENERIC) -
     cached = _MATRIX_CACHE.get(key)
     if cached is not None:
         return cached
-    basis = enumerate_standard(shape)
-    index = basis_index(shape)
-    zero = domain.zero()
-    grid = [[zero] * len(basis) for _ in basis]
-    for j, t in enumerate(basis):
-        for u, c in _act_generator_terms(i, {t: domain.one()}, domain).items():
-            grid[index[u]][j] = c
-    result = Matrix(domain, tuple(tuple(row) for row in grid))
+    result = _action_matrix(shape, lambda terms: _act_generator_terms(i, terms, domain), domain)
     _MATRIX_CACHE[key] = result
     return result
 
@@ -439,29 +445,30 @@ def annihilator_matrix(element, shape_of_module: Partition,
     for _, word in element_terms:
         for i in word:
             _check_generator_index(i, n)
-    basis = enumerate_standard(shape_of_module)
-    index = basis_index(shape_of_module)
-    zero = domain.zero()
-    grid = [[zero] * len(basis) for _ in basis]
-    for j, t in enumerate(basis):
-        image = _apply_element_terms(element_terms, {t: domain.one()}, domain)
-        for u, coeff in image.items():
-            grid[index[u]][j] = coeff
-    return Matrix(domain, tuple(tuple(row) for row in grid))
+    return _action_matrix(
+        shape_of_module,
+        lambda terms: _apply_element_terms(element_terms, terms, domain),
+        domain,
+    )
+
+
+def _check_equalities(equalities, starts, domain: ScalarDomain) -> list[tuple[str, bool]]:
+    """Check each (name, lhs, rhs) of (scalar, word) sums by applying both
+    sides to every start vector."""
+    return [
+        (name, all(_apply_element_terms(lhs, start, domain)
+                   == _apply_element_terms(rhs, start, domain) for start in starts))
+        for name, lhs, rhs in equalities
+    ]
 
 
 def annihilator_checks(shape: Partition,
                        domain: ScalarDomain = GENERIC) -> list[tuple[str, bool]]:
     """Each column/Garnir element applied to the superstandard vector."""
-    start = {superstandard(shape): domain.one()}
-    checks = []
-    for element in column_elements(shape):
-        image = _apply_element_terms(element.terms(domain), start, domain)
-        checks.append((f"column element {element}", not image))
-    for element in garnir_elements(shape):
-        image = _apply_element_terms(element.terms(domain), start, domain)
-        checks.append((f"garnir element a={element.anchor}", not image))
-    return checks
+    named = [(f"column element {e}", e) for e in column_elements(shape)]
+    named += [(f"garnir element a={e.anchor}", e) for e in garnir_elements(shape)]
+    return _check_equalities([(name, e.terms(domain), ()) for name, e in named],
+                             [{superstandard(shape): domain.one()}], domain)
 
 
 def verify_annihilators(shape: Partition, domain: ScalarDomain = GENERIC) -> bool:
@@ -469,28 +476,27 @@ def verify_annihilators(shape: Partition, domain: ScalarDomain = GENERIC) -> boo
     return all(ok for _, ok in annihilator_checks(shape, domain))
 
 
+def _relations(n: int, domain: ScalarDomain):
+    """(name, lhs, rhs) for each defining relation of H_n(q), in check
+    order; both sides are (scalar, word) sums."""
+    one, q = domain.one(), domain.q()
+    q_minus_1 = q - one
+    quadratic = [(f"quadratic h{i}", ((one, (i, i)),), ((q_minus_1, (i,)), (q, ())))
+                 for i in range(1, n)]
+    braid = [(f"braid h{i},h{i + 1}", ((one, (i, i + 1, i)),), ((one, (i + 1, i, i + 1)),))
+             for i in range(1, n - 1)]
+    commutation = [(f"commutation h{i},h{j}", ((one, (i, j)),), ((one, (j, i)),))
+                   for i in range(1, n) for j in range(i + 2, n)]
+    return quadratic + braid + commutation
+
+
 def defining_relation_checks(shape: Partition,
                              domain: ScalarDomain = GENERIC) -> list[tuple[str, bool]]:
-    """Quadratic, braid and commutation relations as exact matrix identities."""
-    n = shape.n
-    dim = len(enumerate_standard(shape))
-    q = domain.q()
-    q_minus_1 = q - domain.one()
-    identity = Matrix.identity(domain, dim)
-    mats = {i: generator_matrix(shape, i, domain) for i in range(1, n)}
-    checks = []
-    for i in range(1, n):
-        lhs = mats[i] * mats[i]
-        rhs = mats[i].scale(q_minus_1) + identity.scale(q)
-        checks.append((f"quadratic h{i}", lhs == rhs))
-    for i in range(1, n - 1):
-        lhs = mats[i] * mats[i + 1] * mats[i]
-        rhs = mats[i + 1] * mats[i] * mats[i + 1]
-        checks.append((f"braid h{i},h{i + 1}", lhs == rhs))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            checks.append((f"commutation h{i},h{j}", mats[i] * mats[j] == mats[j] * mats[i]))
-    return checks
+    """Quadratic, braid and commutation relations on every standard basis
+    vector, which is column by column the exact matrix identity."""
+    one = domain.one()
+    starts = [{t: one} for t in enumerate_standard(shape)]
+    return _check_equalities(_relations(shape.n, domain), starts, domain)
 
 
 def generator_relation_checks(shape: Partition,
@@ -498,26 +504,8 @@ def generator_relation_checks(shape: Partition,
     """The same relations, applied to the cyclic generator vector only.
 
     Complete on the generator orbit but not on the whole module; used by
-    the CLI when the module is too large for matrix identities.
+    the CLI when the module is too large to check every basis vector.
     """
-    start = {superstandard(shape): domain.one()}
-    n = shape.n
-    q = domain.q()
-    q_minus_1 = q - domain.one()
-    checks = []
-    for i in range(1, n):
-        lhs = _act_word_terms((i, i), start, domain)
-        rhs = {t: q_minus_1 * c for t, c in _act_word_terms((i,), start, domain).items()}
-        _fold_terms(start.items(), q, rhs, domain)
-        rhs = {t: c for t, c in rhs.items() if c}
-        checks.append((f"quadratic h{i} (generator vector)", lhs == rhs))
-    for i in range(1, n - 1):
-        lhs = _act_word_terms((i, i + 1, i), start, domain)
-        rhs = _act_word_terms((i + 1, i, i + 1), start, domain)
-        checks.append((f"braid h{i},h{i + 1} (generator vector)", lhs == rhs))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            lhs = _act_word_terms((i, j), start, domain)
-            rhs = _act_word_terms((j, i), start, domain)
-            checks.append((f"commutation h{i},h{j} (generator vector)", lhs == rhs))
-    return checks
+    relations = [(f"{name} (generator vector)", lhs, rhs)
+                 for name, lhs, rhs in _relations(shape.n, domain)]
+    return _check_equalities(relations, [{superstandard(shape): domain.one()}], domain)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qspecht.linalg import Matrix, kernel, mat_mul, rank, specialize_matrix, vstack
+from qspecht.linalg import Matrix, kernel, rank, specialize_matrix, vstack
 from qspecht.scalar import GENERIC, LaurentScalar, root_of_unity
 
 P3 = root_of_unity(3)
@@ -16,7 +16,7 @@ def test_identity_product():
         [LaurentScalar(1), LaurentScalar.q_power(2)],
         [LaurentScalar(0), LaurentScalar(-3)],
     ])
-    assert mat_mul(Matrix.identity(GENERIC, 2), m) == m
+    assert Matrix.identity(GENERIC, 2) * m == m
     assert m * Matrix.identity(GENERIC, 2) == m
 
 
@@ -30,7 +30,7 @@ def test_dimension_and_domain_mismatch():
     a = Matrix.identity(GENERIC, 2)
     b = Matrix.identity(GENERIC, 3)
     with pytest.raises(ValueError):
-        mat_mul(a, b)
+        a * b
     with pytest.raises(ValueError):
         a * Matrix.identity(P3, 2)
 

@@ -219,3 +219,25 @@ def test_oracle_agrees_with_window_small():
                 assert hits == [report.submodule_shape]
             else:
                 assert hits == []
+
+
+@pytest.mark.parametrize("p", [4, 6])
+def test_composite_order_oracles_agree(p):
+    # window, oracle, p-root count and closure dimension agree at composite p
+    for lam in two_row_shapes(7):
+        report = analyze(lam, p)
+        hits, generators = [], ()
+        for mu in two_row_shapes(lam.n):
+            if mu.n != lam.n or mu == lam or not is_p_regular(mu, p):
+                continue
+            kernel = find_submodule_generators(lam, mu, p)
+            if kernel:
+                hits.append(mu)
+                generators = kernel
+        assert len(enumerate_p_root_standard(lam, p)) == report.quotient_dim, lam
+        if report.reducible:
+            assert hits == [report.submodule_shape], lam
+            assert submodule_dimension(lam, generators, p) == report.submodule_dim, lam
+            assert report.submodule_dim + report.quotient_dim == report.specht_dim, lam
+        else:
+            assert hits == [], lam

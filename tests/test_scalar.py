@@ -17,6 +17,9 @@ q = LaurentScalar.q_power(1)
 one = LaurentScalar(1)
 
 
+# prime and composite root-of-unity orders
+ORDERS = st.sampled_from([3, 4, 5, 6, 7, 9, 12])
+
 laurent_scalars = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
     st.integers(min_value=-9, max_value=9),
@@ -49,12 +52,13 @@ def test_cyclotomic_polynomial(p, expected):
 
 
 def test_cyclotomic_polynomial_product_oracle():
-    # q^6 - 1 factors as the product of Phi_d over d | 6
-    product = one
-    for d in (2, 3, 6):
-        product = product * cyclotomic_polynomial(d)
-    product = product * (q - 1)
-    assert product == LaurentScalar({6: 1, 0: -1})
+    # q^n - 1 factors as the product of Phi_d over d | n, with Phi_1 = q - 1
+    for n in range(1, 13):
+        product = q - 1
+        for d in range(2, n + 1):
+            if n % d == 0:
+                product = product * cyclotomic_polynomial(d)
+        assert product == LaurentScalar({n: 1, 0: -1}), n
 
 
 def test_cyclotomic_polynomial_rejects_small_p():
@@ -102,21 +106,28 @@ def test_laurent_distributivity(x, y, z):
     assert (x + y) * z == x * z + y * z
 
 
-@given(laurent_scalars, laurent_scalars, st.sampled_from([3, 5, 7]))
+@given(laurent_scalars, laurent_scalars, ORDERS)
 def test_specialize_is_ring_homomorphism(x, y, p):
     assert specialize(x * y, p) == specialize(x, p) * specialize(y, p)
     assert specialize(x + y, p) == specialize(x, p) + specialize(y, p)
 
 
-@given(st.sampled_from([3, 5, 7]))
+@given(ORDERS)
 def test_specialize_kills_cyclotomic(p):
     assert specialize(cyclotomic_polynomial(p), p).is_zero()
 
 
-@given(laurent_scalars, laurent_scalars, laurent_scalars, st.sampled_from([3, 5, 7]))
+@given(laurent_scalars, laurent_scalars, laurent_scalars, ORDERS)
 def test_cyclotomic_distributivity(x, y, z, p):
     a, b, c = specialize(x, p), specialize(y, p), specialize(z, p)
     assert (a + b) * c == a * c + b * c
+
+
+@given(laurent_scalars, ORDERS)
+def test_cyclotomic_inverse_roundtrip(x, p):
+    value = specialize(x, p)
+    if value:
+        assert value * value.inverse() == 1
 
 
 def test_rendering_grammar():
@@ -132,7 +143,7 @@ def test_rendering_roundtrip(x):
     assert LaurentScalar.parse(str(x)) == x
 
 
-@given(laurent_scalars, st.sampled_from([3, 5, 7]))
+@given(laurent_scalars, ORDERS)
 def test_cyclotomic_rendering_roundtrip(x, p):
     value = specialize(x, p)
     assert CyclotomicScalar.parse(str(value), p) == value

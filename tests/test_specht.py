@@ -240,6 +240,40 @@ def test_generator_relation_checks_pass():
     assert checks and all(ok for _, ok in checks)
 
 
+@pytest.mark.parametrize("domain", [GENERIC, root_of_unity(3)], ids=["generic", "p3"])
+def test_generator_matrices_satisfy_relations(domain):
+    # the relation checks act on vectors; this checks the matrices themselves
+    q_dom = domain.q()
+    for n in range(2, 6):
+        for parts in all_partitions(n):
+            shape = Partition(parts)
+            mats = {i: generator_matrix(shape, i, domain) for i in range(1, n)}
+            identity = Matrix.identity(domain, mats[1].rows)
+            for i in range(1, n):
+                h = mats[i]
+                assert h * h == h.scale(q_dom - domain.one()) + identity.scale(q_dom), (parts, i)
+            for i in range(1, n - 1):
+                a, b = mats[i], mats[i + 1]
+                assert a * b * a == b * a * b, (parts, i)
+            for i in range(1, n):
+                for j in range(i + 2, n):
+                    assert mats[i] * mats[j] == mats[j] * mats[i], (parts, i, j)
+
+
+def test_relation_check_names():
+    shape = Partition((3, 2, 1))
+    expected = [
+        "quadratic h1", "quadratic h2", "quadratic h3", "quadratic h4", "quadratic h5",
+        "braid h1,h2", "braid h2,h3", "braid h3,h4", "braid h4,h5",
+        "commutation h1,h3", "commutation h1,h4", "commutation h1,h5",
+        "commutation h2,h4", "commutation h2,h5", "commutation h3,h5",
+    ]
+    assert [name for name, _ in defining_relation_checks(shape, GENERIC)] == expected
+    assert [name for name, _ in generator_relation_checks(shape, GENERIC)] == [
+        f"{name} (generator vector)" for name in expected
+    ]
+
+
 def alternative_reduced_word(w):
     # peel the largest left descent first (still a reduced word)
     pos = [0] * (w.n + 1)
