@@ -114,6 +114,7 @@ def cmd_decompose(args) -> dict:
 
 def cmd_tableaux(args) -> dict:
     shape = Partition.parse(args.shape)
+    domain = _domain_from_p(args.p)
     if args.filter == "p-root":
         if args.p is None:
             raise CommandError("--filter p-root requires --p")
@@ -122,7 +123,6 @@ def cmd_tableaux(args) -> dict:
         tableaux = enumerate_p_root_standard(shape, args.p)
     else:
         tableaux = enumerate_standard(shape)
-    domain = _domain_from_p(args.p)
     return {
         "command": "tableaux",
         "shape": list(shape.parts),

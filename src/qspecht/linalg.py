@@ -105,14 +105,6 @@ class Matrix:
             out.append(tuple(out_row))
         return Matrix(self.domain, tuple(out))
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace needs a square matrix")
-        acc = self.domain.zero()
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
-
     def __str__(self):
         return "\n".join(
             "[" + ", ".join(str(x) for x in row) + "]" for row in self.entries

@@ -19,11 +19,18 @@ The column elements 1 + h_a and the Garnir elements
 sum_d (-q)^{-l(d)} h(d) (d over minimal-length coset representatives)
 annihilate the superstandard generator vector; evaluating them inside a
 different Specht module is what the root-of-unity submodule search uses.
+
+`SpechtModule(shape, domain)` holds the work that belongs to one module:
+the straightening memo, the action of the generators and of (scalar, word)
+sums, and matrix building.  The public functions take their module from
+`specht_module`, which keeps the module of the most recent (shape, domain)
+only; `specht_module.cache_clear()` frees it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -43,8 +50,9 @@ from .scalar import GENERIC, ScalarDomain
 
 TOPMOST = "topmost"
 BOTTOMMOST = "bottommost"
-
-_STRAIGHTEN_CACHE: dict = {}
+# which row descent of a column-sorted tableau a Garnir step removes:
+# the first or the last in reading order (top to bottom, left to right)
+_DESCENT = {TOPMOST: 0, BOTTOMMOST: -1}
 
 
 @dataclass(frozen=True)
@@ -58,11 +66,6 @@ class SpechtVector:
     def __post_init__(self):
         if len(self.coords) != len(enumerate_standard(self.shape)):
             raise ValueError("coordinate count does not match the standard basis")
-
-    @classmethod
-    def zero(cls, shape: Partition, domain: ScalarDomain) -> "SpechtVector":
-        z = domain.zero()
-        return cls(shape, domain, tuple(z for _ in enumerate_standard(shape)))
 
     @classmethod
     def basis_vector(cls, t: Tableau, domain: ScalarDomain) -> "SpechtVector":
@@ -83,9 +86,6 @@ class SpechtVector:
 
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-    def coordinate(self, t: Tableau):
-        return self.coords[basis_index(self.shape)[t]]
 
     def __add__(self, other: "SpechtVector") -> "SpechtVector":
         if self.shape != other.shape or self.domain != other.domain:
@@ -138,15 +138,10 @@ def _column_sorted(t: Tableau) -> tuple[int, Tableau]:
     return sign, Tableau(tuple(tuple(row) for row in grid))
 
 
-def _row_violation(t: Tableau, policy: str) -> tuple[int, int] | None:
-    rows = range(len(t.rows)) if policy == TOPMOST else range(len(t.rows) - 1, -1, -1)
-    for r in rows:
-        row = t.rows[r]
-        cols = range(len(row) - 1) if policy == TOPMOST else range(len(row) - 2, -1, -1)
-        for c in cols:
-            if row[c] > row[c + 1]:
-                return (r, c)
-    return None
+def _row_descents(t: Tableau) -> list[tuple[int, int]]:
+    """Every (row, col) with t[row][col] > t[row][col+1], in reading order."""
+    return [(r, c) for r, row in enumerate(t.rows)
+            for c in range(len(row) - 1) if row[c] > row[c + 1]]
 
 
 def garnir_relation_terms(t: Tableau, row: int, col: int,
@@ -179,87 +174,123 @@ def garnir_relation_terms(t: Tableau, row: int, col: int,
     return out
 
 
-def _straighten_tableau(t: Tableau, domain: ScalarDomain,
-                        policy: str = TOPMOST) -> tuple:
-    """Standard-basis expansion of v_t as ((tableau, coefficient), ...)."""
-    key = (t, domain)
-    if policy == TOPMOST:
-        cached = _STRAIGHTEN_CACHE.get(key)
+class SpechtModule:
+    """S^shape over one scalar domain: straightening, the action, matrices.
+
+    `memo` maps every tableau straightened so far to its standard-basis
+    expansion ((tableau, coefficient), ...).  `policy` picks the row
+    descent each Garnir step removes; the expansions do not depend on it.
+    Terms are dicts from tableaux to nonzero scalars.
+    """
+
+    def __init__(self, shape: Partition, domain: ScalarDomain, policy: str = TOPMOST):
+        self.shape = shape
+        self.domain = domain
+        self.memo: dict[Tableau, tuple] = {}
+        self._descent = _DESCENT[policy]
+        self._zero, self._one, self._q = domain.zero(), domain.one(), domain.q()
+        self._q_minus_1 = self._q - self._one
+
+    def straighten_tableau(self, t: Tableau) -> tuple:
+        """Standard-basis expansion of v_t as ((tableau, coefficient), ...)."""
+        cached = self.memo.get(t)
         if cached is not None:
             return cached
-    if t.is_standard():
-        result = ((t, domain.one()),)
-    else:
-        sign, sorted_t = _column_sorted(t)
-        if sorted_t != t:
-            inner = _straighten_tableau(sorted_t, domain, policy)
-            result = inner if sign == 1 else tuple((u, -c) for u, c in inner)
+        if t.is_standard():
+            result = ((t, self._one),)
         else:
-            r, c = _row_violation(t, policy)
-            relation = garnir_relation_terms(t, r, c, domain)
-            acc: dict[Tableau, object] = {}
-            for candidate, coeff in relation.items():
-                if candidate == t:
-                    continue
-                for u, inner_c in _straighten_tableau(candidate, domain, policy):
-                    acc[u] = acc.get(u, domain.zero()) - coeff * inner_c
-            result = tuple(
-                (u, coeff) for u, coeff in sorted(acc.items(), key=lambda kv: str(kv[0]))
-                if coeff
-            )
-    if policy == TOPMOST:
-        _STRAIGHTEN_CACHE[key] = result
-    return result
+            sign, sorted_t = _column_sorted(t)
+            if sorted_t != t:
+                inner = self.straighten_tableau(sorted_t)
+                result = inner if sign == 1 else tuple((u, -c) for u, c in inner)
+            else:
+                r, c = _row_descents(t)[self._descent]
+                acc: dict[Tableau, object] = {}
+                for candidate, coeff in garnir_relation_terms(t, r, c, self.domain).items():
+                    if candidate != t:
+                        self._fold(self.straighten_tableau(candidate), -coeff, acc)
+                result = tuple(acc.items())
+        self.memo[t] = result
+        return result
+
+    def _fold(self, pairs: Iterable[tuple[Tableau, object]], scale, acc: dict):
+        """Add scale times the (tableau, coefficient) pairs into acc."""
+        for t, c in pairs:
+            value = acc.get(t, self._zero) + scale * c
+            if value:
+                acc[t] = value
+            elif t in acc:
+                del acc[t]
+
+    def straighten(self, terms: Mapping[Tableau, object]) -> dict[Tableau, object]:
+        acc: dict[Tableau, object] = {}
+        for t, c in terms.items():
+            self._fold(self.straighten_tableau(t), c, acc)
+        return acc
+
+    def act_generator(self, i: int, terms: Mapping[Tableau, object]) -> dict[Tableau, object]:
+        """h_i applied to standard-basis terms."""
+        acc: dict[Tableau, object] = {}
+        for t, c in terms.items():
+            x = t.with_swapped(i, i + 1)
+            if precedes(i, i + 1, t):
+                self._fold(self.straighten_tableau(x), c, acc)
+            else:
+                self._fold(self.straighten_tableau(x), self._q * c, acc)
+                self._fold(self.straighten_tableau(t), self._q_minus_1 * c, acc)
+        return acc
+
+    def act_word(self, word: Iterable[int], terms: Mapping[Tableau, object]) -> dict[Tableau, object]:
+        """h_{i1} ... h_{ik} applied right to left."""
+        terms = dict(terms)
+        for i in reversed(tuple(word)):
+            terms = self.act_generator(i, terms)
+        return terms
+
+    def apply_element(self, element_terms, start: Mapping[Tableau, object]) -> dict[Tableau, object]:
+        """A sum of (scalar, word) pairs applied to start."""
+        acc: dict[Tableau, object] = {}
+        for coeff, word in element_terms:
+            self._fold(self.act_word(word, start).items(), coeff, acc)
+        return acc
+
+    def matrix(self, act) -> Matrix:
+        """Matrix of a linear action given on terms; column j is the image
+        of the j-th standard basis tableau."""
+        basis = enumerate_standard(self.shape)
+        index = basis_index(self.shape)
+        grid = [[self._zero] * len(basis) for _ in basis]
+        for j, t in enumerate(basis):
+            for u, c in act({t: self._one}).items():
+                grid[index[u]][j] = c
+        return Matrix(self.domain, tuple(tuple(row) for row in grid))
+
+    def check_equalities(self, equalities, starts) -> list[tuple[str, bool]]:
+        """Check each (name, lhs, rhs) of (scalar, word) sums by applying both
+        sides to every start vector."""
+        return [
+            (name, all(self.apply_element(lhs, start) == self.apply_element(rhs, start)
+                       for start in starts))
+            for name, lhs, rhs in equalities
+        ]
 
 
-def _fold_terms(pairs: Iterable[tuple[Tableau, object]], scale, acc: dict, domain):
-    for t, c in pairs:
-        value = acc.get(t, domain.zero()) + scale * c
-        if value:
-            acc[t] = value
-        elif t in acc:
-            del acc[t]
-
-
-def _straighten_terms(terms: Mapping[Tableau, object], domain: ScalarDomain,
-                      policy: str = TOPMOST) -> dict[Tableau, object]:
-    acc: dict[Tableau, object] = {}
-    for t, c in terms.items():
-        _fold_terms(_straighten_tableau(t, domain, policy), c, acc, domain)
-    return acc
+@lru_cache(maxsize=1)
+def specht_module(shape: Partition, domain: ScalarDomain) -> SpechtModule:
+    """The module of the most recent (shape, domain); one is kept at a time."""
+    return SpechtModule(shape, domain)
 
 
 def straighten(v: TableauVector, policy: str = TOPMOST) -> SpechtVector:
     """Rewrite a tableau vector in the standard basis.
 
     The result is independent of the Garnir pair-selection policy; the
-    `policy` knob exists so tests can confirm that.
+    `policy` knob exists so tests can confirm that.  A policy other than
+    TOPMOST straightens in a module of its own, with a memo of its own.
     """
-    terms = _straighten_terms(v.terms, v.domain, policy)
-    return SpechtVector.from_terms(v.shape, terms, v.domain)
-
-
-def _act_generator_terms(i: int, terms: Mapping[Tableau, object],
-                         domain: ScalarDomain) -> dict[Tableau, object]:
-    acc: dict[Tableau, object] = {}
-    q = domain.q()
-    q_minus_1 = q - domain.one()
-    for t, c in terms.items():
-        x = t.with_swapped(i, i + 1)
-        if precedes(i, i + 1, t):
-            _fold_terms(_straighten_tableau(x, domain), c, acc, domain)
-        else:
-            _fold_terms(_straighten_tableau(x, domain), q * c, acc, domain)
-            _fold_terms(_straighten_tableau(t, domain), q_minus_1 * c, acc, domain)
-    return acc
-
-
-def _act_word_terms(word: Iterable[int], terms: Mapping[Tableau, object],
-                    domain: ScalarDomain) -> dict[Tableau, object]:
-    terms = dict(terms)
-    for i in reversed(tuple(word)):
-        terms = _act_generator_terms(i, terms, domain)
-    return terms
+    module = (specht_module(v.shape, v.domain) if policy == TOPMOST
+              else SpechtModule(v.shape, v.domain, policy))
+    return SpechtVector.from_terms(v.shape, module.straighten(v.terms), v.domain)
 
 
 def _check_generator_index(i: int, n: int):
@@ -270,7 +301,7 @@ def _check_generator_index(i: int, n: int):
 def apply_generator(i: int, v: SpechtVector) -> SpechtVector:
     """The natural action of h_i, straightened back to the basis."""
     _check_generator_index(i, v.shape.n)
-    terms = _act_generator_terms(i, v.terms(), v.domain)
+    terms = specht_module(v.shape, v.domain).act_generator(i, v.terms())
     return SpechtVector.from_terms(v.shape, terms, v.domain)
 
 
@@ -279,36 +310,15 @@ def apply_word(word: Iterable[int], v: SpechtVector) -> SpechtVector:
     word = tuple(word)
     for i in word:
         _check_generator_index(i, v.shape.n)
-    terms = _act_word_terms(word, v.terms(), v.domain)
+    terms = specht_module(v.shape, v.domain).act_word(word, v.terms())
     return SpechtVector.from_terms(v.shape, terms, v.domain)
-
-
-_MATRIX_CACHE: dict = {}
-
-
-def _action_matrix(shape: Partition, act, domain: ScalarDomain) -> Matrix:
-    """Matrix of a linear action on S^shape; column j is act(v_j) for the
-    j-th standard basis tableau."""
-    basis = enumerate_standard(shape)
-    index = basis_index(shape)
-    zero = domain.zero()
-    grid = [[zero] * len(basis) for _ in basis]
-    for j, t in enumerate(basis):
-        for u, c in act({t: domain.one()}).items():
-            grid[index[u]][j] = c
-    return Matrix(domain, tuple(tuple(row) for row in grid))
 
 
 def generator_matrix(shape: Partition, i: int, domain: ScalarDomain = GENERIC) -> Matrix:
     """Matrix of h_i in the standard basis; columns are basis images."""
     _check_generator_index(i, shape.n)
-    key = (shape, i, domain)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _action_matrix(shape, lambda terms: _act_generator_terms(i, terms, domain), domain)
-    _MATRIX_CACHE[key] = result
-    return result
+    module = specht_module(shape, domain)
+    return module.matrix(lambda terms: module.act_generator(i, terms))
 
 
 def character_trace(shape: Partition, word: Iterable[int],
@@ -317,9 +327,10 @@ def character_trace(shape: Partition, word: Iterable[int],
     word = tuple(word)
     for i in word:
         _check_generator_index(i, shape.n)
+    module = specht_module(shape, domain)
     acc = domain.zero()
     for t in enumerate_standard(shape):
-        image = _act_word_terms(word, {t: domain.one()}, domain)
+        image = module.act_word(word, {t: domain.one()})
         if t in image:
             acc = acc + image[t]
     return acc
@@ -425,15 +436,6 @@ def garnir_elements(shape: Partition) -> tuple[GarnirElement, ...]:
     return tuple(garnir_element(shape, a) for a in garnir_anchors(shape))
 
 
-def _apply_element_terms(element_terms, start: Mapping[Tableau, object],
-                         domain: ScalarDomain) -> dict[Tableau, object]:
-    acc: dict[Tableau, object] = {}
-    for coeff, word in element_terms:
-        image = _act_word_terms(word, start, domain)
-        _fold_terms(image.items(), coeff, acc, domain)
-    return acc
-
-
 def annihilator_matrix(element, shape_of_module: Partition,
                        domain: ScalarDomain = GENERIC) -> Matrix:
     """Matrix of a column/Garnir element acting on S^shape_of_module.
@@ -445,21 +447,8 @@ def annihilator_matrix(element, shape_of_module: Partition,
     for _, word in element_terms:
         for i in word:
             _check_generator_index(i, n)
-    return _action_matrix(
-        shape_of_module,
-        lambda terms: _apply_element_terms(element_terms, terms, domain),
-        domain,
-    )
-
-
-def _check_equalities(equalities, starts, domain: ScalarDomain) -> list[tuple[str, bool]]:
-    """Check each (name, lhs, rhs) of (scalar, word) sums by applying both
-    sides to every start vector."""
-    return [
-        (name, all(_apply_element_terms(lhs, start, domain)
-                   == _apply_element_terms(rhs, start, domain) for start in starts))
-        for name, lhs, rhs in equalities
-    ]
+    module = specht_module(shape_of_module, domain)
+    return module.matrix(lambda terms: module.apply_element(element_terms, terms))
 
 
 def annihilator_checks(shape: Partition,
@@ -467,8 +456,9 @@ def annihilator_checks(shape: Partition,
     """Each column/Garnir element applied to the superstandard vector."""
     named = [(f"column element {e}", e) for e in column_elements(shape)]
     named += [(f"garnir element a={e.anchor}", e) for e in garnir_elements(shape)]
-    return _check_equalities([(name, e.terms(domain), ()) for name, e in named],
-                             [{superstandard(shape): domain.one()}], domain)
+    return specht_module(shape, domain).check_equalities(
+        [(name, e.terms(domain), ()) for name, e in named],
+        [{superstandard(shape): domain.one()}])
 
 
 def verify_annihilators(shape: Partition, domain: ScalarDomain = GENERIC) -> bool:
@@ -496,7 +486,7 @@ def defining_relation_checks(shape: Partition,
     vector, which is column by column the exact matrix identity."""
     one = domain.one()
     starts = [{t: one} for t in enumerate_standard(shape)]
-    return _check_equalities(_relations(shape.n, domain), starts, domain)
+    return specht_module(shape, domain).check_equalities(_relations(shape.n, domain), starts)
 
 
 def generator_relation_checks(shape: Partition,
@@ -508,4 +498,5 @@ def generator_relation_checks(shape: Partition,
     """
     relations = [(f"{name} (generator vector)", lhs, rhs)
                  for name, lhs, rhs in _relations(shape.n, domain)]
-    return _check_equalities(relations, [{superstandard(shape): domain.one()}], domain)
+    return specht_module(shape, domain).check_equalities(
+        relations, [{superstandard(shape): domain.one()}])

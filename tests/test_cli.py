@@ -128,6 +128,17 @@ def test_tableaux_p_root_requires_p(capsys):
     assert "requires --p" in err
 
 
+def test_tableaux_rejects_p2_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(shape):
+        raise AssertionError("enumerated before checking --p")
+
+    monkeypatch.setattr("qspecht.cli.enumerate_standard", no_enumeration)
+    code, out, err = run(capsys, "tableaux", "--shape", "6,6,6", "--p", "2")
+    assert code == 2
+    assert not out
+    assert "p must be >= 3" in err
+
+
 def test_text_output_deterministic(capsys):
     _, out1, _ = run(capsys, "decompose", "--shape", "9,3", "--p", "5")
     _, out2, _ = run(capsys, "decompose", "--shape", "9,3", "--p", "5")

@@ -15,6 +15,7 @@ from qspecht.linalg import Matrix, specialize_matrix
 from qspecht.scalar import GENERIC, LaurentScalar, root_of_unity
 from qspecht.specht import (
     BOTTOMMOST,
+    SpechtModule,
     SpechtVector,
     TableauVector,
     annihilator_matrix,
@@ -29,6 +30,7 @@ from qspecht.specht import (
     garnir_relation_terms,
     generator_matrix,
     generator_relation_checks,
+    specht_module,
     straighten,
     verify_annihilators,
 )
@@ -397,3 +399,36 @@ def test_character_traces():
     assert character_trace(S32, (), GENERIC) == LaurentScalar(5)
     assert character_trace(S32, (1,), GENERIC) == LaurentScalar({1: 3, 0: -2})
     assert character_trace(Partition((1, 1)), (1,), GENERIC) == LaurentScalar(-1)
+
+
+# ------------------------------------------------------------------ registry
+
+@pytest.mark.parametrize("p", [None, 3, 4], ids=["generic", "p3", "p4"])
+@pytest.mark.parametrize("parts", [(3, 2), (4, 2, 1)])
+def test_fresh_module_matches_registry(parts, p):
+    shape = Partition(parts)
+    domain = GENERIC if p is None else root_of_unity(p)
+    fresh = SpechtModule(shape, domain)
+    fresh_mats = [fresh.matrix(lambda terms, i=i: fresh.act_generator(i, terms))
+                  for i in range(1, shape.n)]
+    specht_module.cache_clear()
+    assert fresh_mats == [generator_matrix(shape, i, domain) for i in range(1, shape.n)]
+
+
+def test_registry_keeps_one_module():
+    shapes = [Partition(parts) for parts in
+              [(2,), (2, 1), (3, 1), (2, 2), (3, 2), (2, 2, 1), (4, 1), (3, 1, 1), (3, 3), (4, 2)]]
+    for shape in shapes:
+        generator_matrix(shape, 1, GENERIC)
+        verify_annihilators(shape, root_of_unity(3))
+        assert specht_module.cache_info().currsize <= 1
+
+
+def test_bottommost_straighten_leaves_registry_memo_alone():
+    t = Tableau.parse("2,1,3/4,5")
+    v = TableauVector.single(t, GENERIC)
+    topmost = straighten(v)
+    memo_size = len(specht_module(S32, GENERIC).memo)
+    assert memo_size > 0
+    assert straighten(v, policy=BOTTOMMOST) == topmost
+    assert len(specht_module(S32, GENERIC).memo) == memo_size
