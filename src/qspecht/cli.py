@@ -2,13 +2,15 @@
 
 Every command prints a deterministic key/value document on stdout (or one
 JSON object with --json); diagnostics go to stderr.  Exit code 0 means no
-error and, for `verify`, that every check passed.
+error and, for `verify`, that every check passed; 1 a failed check, 2 bad
+input, and 141 a reader that closed stdout before the output ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .combinat import Partition, enumerate_standard, hook_count
@@ -24,6 +26,10 @@ from .specht import (
 # above this module dimension, `verify` checks the defining relations on the
 # generator vector instead of on every basis vector (see --full)
 FULL_RELATION_DIM_LIMIT = 150
+
+# exit status when stdout closes early: 128 + SIGPIPE, as a shell reports a
+# process that SIGPIPE killed
+EXIT_BROKEN_PIPE = 141
 
 
 class CommandError(Exception):
@@ -225,10 +231,17 @@ def main(argv=None) -> int:
     except (CommandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        _print_text(doc)
+    try:
+        if args.json:
+            print(json.dumps(doc, indent=2))
+        else:
+            _print_text(doc)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`qspecht ... | head`); send the
+        # unflushed rest to devnull so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     if doc.get("result") == "fail":
         return 1
     return 0

@@ -24,10 +24,7 @@ class Matrix:
         widths = {len(row) for row in entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix rows")
-        for row in entries:
-            for x in row:
-                if not self.domain.contains(x):
-                    raise ValueError(f"entry {x!r} is not in domain {self.domain}")
+        self.domain.check_entries(entries)
 
     @classmethod
     def from_rows(cls, domain: ScalarDomain, rows) -> "Matrix":

@@ -7,12 +7,17 @@ Two ground domains are supported:
 * root of unity -- the field Q[q]/(Phi_p), where Phi_p is the p-th
   cyclotomic polynomial.  There q is a primitive p-th root of unity and
   every nonzero element is invertible (Phi_p is irreducible over Q).
+  A residue is stored as integer coefficients over one positive common
+  denominator in lowest terms.  Phi_p is monic, so everything that comes
+  from Z[q, q^-1] stays in Z[zeta_p] with denominator 1 and its arithmetic
+  runs on plain ints; only `inverse` brings in other denominators.
 
-Scalars are immutable canonical values: no zero coefficients are stored,
-cyclotomic residues are fully reduced, equality is decidable and hashing
-is safe.  The string grammar renders terms in increasing exponent order
-("-1 + q^2 - q^3", exponent 0 as a bare integer, exponent 1 as "q") and
-`parse` accepts the same grammar.
+Coefficients must be ints (or, for residues, Fractions); anything else,
+a float included, raises TypeError.  Scalars are immutable canonical
+values: no zero coefficients are stored, cyclotomic residues are fully
+reduced, equality is decidable and hashing is safe.  The string grammar
+renders terms in increasing exponent order ("-1 + q^2 - q^3", exponent 0
+as a bare integer, exponent 1 as "q") and `parse` accepts the same grammar.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Union
 
 
@@ -103,19 +109,25 @@ class LaurentScalar:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[dict, int] = 0):
+    def __init__(self, terms: Union[dict, int] = 0, _ints: bool = False):
+        # _ints=True is for the arithmetic below, whose values are ints; it is
+        # passed by position, as a keyword would cost a dict per call
         if isinstance(terms, int):
             terms = {0: terms}
         self._terms = {e: c for e, c in terms.items() if c}
+        if not _ints:
+            for c in self._terms.values():
+                if not isinstance(c, int):
+                    raise TypeError(f"Laurent coefficient {c!r} is not an int")
 
     @classmethod
     def q_power(cls, exponent: int) -> "LaurentScalar":
-        return cls({exponent: 1})
+        return cls({exponent: 1}, True)
 
     @classmethod
     def neg_q_power(cls, exponent: int) -> "LaurentScalar":
         """The unit (-q)^exponent, for any integer exponent."""
-        return cls({exponent: -1 if exponent % 2 else 1})
+        return cls({exponent: -1 if exponent % 2 else 1}, True)
 
     @classmethod
     def parse(cls, text: str) -> "LaurentScalar":
@@ -147,12 +159,12 @@ class LaurentScalar:
         out = dict(self._terms)
         for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentScalar(out)
+        return LaurentScalar(out, True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentScalar({e: -c for e, c in self._terms.items()})
+        return LaurentScalar({e: -c for e, c in self._terms.items()}, True)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -172,7 +184,7 @@ class LaurentScalar:
             for e2, c2 in other._terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentScalar(out)
+        return LaurentScalar(out, True)
 
     __rmul__ = __mul__
 
@@ -265,22 +277,58 @@ def cyclotomic_polynomial(p: int) -> LaurentScalar:
     return LaurentScalar({e: c for e, c in enumerate(_cyclotomic_coeffs(p)) if c})
 
 
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """Integer numerators and their positive common denominator."""
+    cs = list(coeffs)
+    den = 1
+    converted = False
+    for c in cs:
+        if type(c) is not int:
+            if isinstance(c, Fraction):
+                den = lcm(den, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(f"cyclotomic coefficient {c!r} is not an int or a Fraction")
+            converted = True
+    if converted:
+        cs = [int(c * den) for c in cs]
+    return cs, den
+
+
 class CyclotomicScalar:
     """Residue of a rational polynomial in q modulo Phi_p (p >= 3).
 
-    The reduced representative has degree < deg Phi_p, so the
-    representation is unique; q^p = 1 holds exactly.
+    The residue is stored as integer numerators over one positive common
+    denominator, in lowest terms: (c_0 + c_1 q + ... + c_{d-1} q^(d-1)) / den
+    with d = deg Phi_p, so the representation is unique and q^p = 1 holds
+    exactly.  Phi_p is monic, so the residues of Z[q, q^-1] are the
+    residues with den == 1, and their sums and products never leave the
+    integers; only `inverse` brings in a denominator.
+
+    The constructor takes ints and Fractions; any other type raises
+    TypeError.
     """
 
-    __slots__ = ("_p", "_coeffs")
+    __slots__ = ("_p", "_coeffs", "_den")
 
-    def __init__(self, p: int, coeffs=()):
+    def __init__(self, p: int, coeffs=(), _den: int = 0):
+        # a nonzero _den is for the arithmetic below: coeffs is then a fresh
+        # list of ints over that denominator.  It is passed by position, as a
+        # keyword would cost a dict per call.
         if p < 3:
             raise ValueError(f"root-of-unity order must be >= 3, got {p}")
         self._p = p
-        cs = [Fraction(c) for c in coeffs]
+        if _den:
+            cs, den = coeffs, _den
+        else:
+            cs, den = _numerators(coeffs)
         _poly_divmod(cs, _cyclotomic_coeffs(p))  # reduce modulo Phi_p in place
+        if den != 1:
+            g = gcd(den, *cs)  # den itself when cs is empty, so zero gets den 1
+            if g != 1:
+                cs = [c // g for c in cs]
+                den //= g
         self._coeffs = tuple(cs)
+        self._den = den
 
     @classmethod
     def from_int(cls, p: int, value: int) -> "CyclotomicScalar":
@@ -289,31 +337,34 @@ class CyclotomicScalar:
     @classmethod
     def q_power(cls, p: int, exponent: int) -> "CyclotomicScalar":
         e = exponent % p
-        return cls(p, (0,) * e + (1,))
+        return cls(p, [0] * e + [1], 1)
 
     @classmethod
     def neg_q_power(cls, p: int, exponent: int) -> "CyclotomicScalar":
         sign = -1 if exponent % 2 else 1
         e = exponent % p
-        return cls(p, (0,) * e + (sign,))
+        return cls(p, [0] * e + [sign], 1)
 
     @classmethod
     def parse(cls, text: str, p: int) -> "CyclotomicScalar":
         coeffs: dict[int, Fraction] = {}
         for coeff, e in _scan_terms(text):
             e %= p
-            coeffs[e] = coeffs.get(e, Fraction(0)) + coeff
+            coeffs[e] = coeffs.get(e, 0) + coeff
         size = max(coeffs, default=-1) + 1
-        dense = [coeffs.get(i, Fraction(0)) for i in range(size)]
-        return cls(p, dense)
+        return cls(p, [coeffs.get(i, 0) for i in range(size)])
 
     @property
     def p(self) -> int:
         return self._p
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+    def coeffs(self) -> tuple:
+        """Ascending coefficients: ints when the residue is in Z[zeta_p],
+        Fractions otherwise."""
+        if self._den == 1:
+            return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._coeffs)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -331,15 +382,22 @@ class CyclotomicScalar:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        size = max(len(a), len(b))
-        out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(size)]
-        return CyclotomicScalar(self._p, out)
+        a, b, den = self._coeffs, other._coeffs, self._den
+        if den != other._den:
+            a = [c * other._den for c in a]
+            b = [c * den for c in b]
+            den *= other._den
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return CyclotomicScalar(self._p, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicScalar(self._p, tuple(-c for c in self._coeffs))
+        return CyclotomicScalar(self._p, [-c for c in self._coeffs], self._den)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -354,25 +412,27 @@ class CyclotomicScalar:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return CyclotomicScalar(self._p, _poly_mul(self._coeffs, other._coeffs))
+        return CyclotomicScalar(self._p, _poly_mul(self._coeffs, other._coeffs),
+                                self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicScalar":
         if not self._coeffs:
             raise ZeroDivisionError("cyclotomic scalar is zero")
-        # extended Euclid against Phi_p; the cofactor of self is only needed
-        # modulo Phi_p, so it is kept as a residue
+        # extended Euclid of the numerator against Phi_p; the cofactor of the
+        # numerator is only needed modulo Phi_p, so it is kept as a residue
         old_r = [Fraction(c) for c in _cyclotomic_coeffs(self._p)]
-        r = list(self._coeffs)
+        r = [Fraction(c) for c in self._coeffs]
         old_t, t = CyclotomicScalar(self._p), CyclotomicScalar.from_int(self._p, 1)
         while r:
             quo = _poly_divmod(old_r, r)
             old_r, r = r, old_r
             old_t, t = t, old_t - CyclotomicScalar(self._p, quo) * t
-        # old_r is a nonzero constant c because Phi_p is irreducible
+        # old_r is a nonzero constant c because Phi_p is irreducible, and
+        # the inverse of numerator / den is den * old_t / c
         (c,) = old_r
-        return CyclotomicScalar(self._p, [x / c for x in old_t._coeffs])
+        return CyclotomicScalar(self._p, [x * self._den / c for x in old_t.coeffs])
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -385,16 +445,19 @@ class CyclotomicScalar:
             other = CyclotomicScalar.from_int(self._p, other)
         if not isinstance(other, CyclotomicScalar):
             return NotImplemented
-        return self._p == other._p and self._coeffs == other._coeffs
+        return (self._p == other._p and self._den == other._den
+                and self._coeffs == other._coeffs)
 
     def __hash__(self):
-        return hash((self._p, self._coeffs))
+        # the hash of the rational coefficients: equal values hash equally
+        # whether a coefficient is an int or a Fraction
+        return hash((self._p, self.coeffs))
 
     def __bool__(self):
         return bool(self._coeffs)
 
     def __str__(self):
-        return _format_terms([(e, c) for e, c in enumerate(self._coeffs) if c])
+        return _format_terms([(e, c) for e, c in enumerate(self.coeffs) if c])
 
     def __repr__(self):
         return f"CyclotomicScalar(p={self._p}, '{self}')"
@@ -408,10 +471,10 @@ def specialize(x: LaurentScalar, p: int) -> CyclotomicScalar:
     """
     if p < 3:
         raise ValueError(f"specialization requires p >= 3, got {p}")
-    dense = [Fraction(0)] * p
-    for e, c in x.terms.items():
+    dense = [0] * p
+    for e, c in x._terms.items():
         dense[e % p] += c
-    return CyclotomicScalar(p, dense)
+    return CyclotomicScalar(p, dense, 1)
 
 
 @dataclass(frozen=True)
@@ -460,6 +523,20 @@ class ScalarDomain:
         if self.is_generic:
             return isinstance(x, LaurentScalar)
         return isinstance(x, CyclotomicScalar) and x.p == self.p
+
+    def check_entries(self, rows):
+        """Raise ValueError unless every entry of the rows is in the domain.
+
+        One pass collects the entry types (and, at a root of unity, the
+        orders); `contains` runs per entry only to name a foreign one.
+        """
+        kind = LaurentScalar if self.is_generic else CyclotomicScalar
+        types = {type(x) for row in rows for x in row}
+        if all(issubclass(t, kind) for t in types) and (
+                self.is_generic or {x._p for row in rows for x in row} <= {self.p}):
+            return
+        bad = next(x for row in rows for x in row if not self.contains(x))
+        raise ValueError(f"entry {bad!r} is not in domain {self}")
 
     def parse(self, text: str):
         if self.is_generic:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +148,23 @@ def test_text_output_deterministic(capsys):
     _, out2, _ = run(capsys, "decompose", "--shape", "9,3", "--p", "5")
     assert out1 == out2
     assert "submodule-shape: 12" in out1
+
+
+def test_closed_stdout_ends_quietly():
+    # the output is several times a pipe's buffer, so writing must hit the
+    # closed end once the reader has gone
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    with subprocess.Popen(
+        [sys.executable, "-m", "qspecht", "tableaux", "--shape", "6,3,3,1"],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"command: tableaux\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code != 0
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

@@ -107,3 +107,14 @@ def test_vstack():
     assert stacked.rows == 4 and stacked.cols == 2
     with pytest.raises(ValueError):
         vstack([a], P3, 3)
+
+
+def test_matrix_rejects_foreign_entries():
+    with pytest.raises(ValueError, match="is not in domain root-of-unity p=3"):
+        Matrix.from_rows(P3, [[cyc(1), LaurentScalar(1)], [cyc(0), cyc(2)]])
+    with pytest.raises(ValueError, match="is not in domain root-of-unity p=3"):
+        Matrix.from_rows(P3, [[cyc(1), cyc(0)], [cyc(0, p=5), cyc(2)]])
+    with pytest.raises(ValueError, match="is not in domain generic"):
+        Matrix.from_rows(GENERIC, [[LaurentScalar(1), cyc(1)]])
+    with pytest.raises(ValueError, match="is not in domain generic"):
+        Matrix.from_rows(GENERIC, [[LaurentScalar(1), 1]])

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qspecht.scalar import (
     GENERIC,
@@ -163,3 +163,72 @@ def test_domain_factories():
 def test_domain_rejects_small_p():
     with pytest.raises(ValueError):
         ScalarDomain(2)
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def rational_residues(draw):
+    p = draw(ORDERS)
+    coeffs = draw(st.lists(rationals, max_size=p + 2))
+    return CyclotomicScalar(p, coeffs)
+
+
+def is_integral(x):
+    return all(type(c) is int for c in x.coeffs)
+
+
+@given(laurent_scalars, laurent_scalars, laurent_scalars, ORDERS)
+def test_specialize_homomorphism_stays_integral(x, y, z, p):
+    a, b, c = specialize(x, p), specialize(y, p), specialize(z, p)
+    for laurent, residue in [(x + y, a + b), (x * y, a * b), (x * y - z, a * b - c),
+                             (-(x + z) * y, -(a + c) * b)]:
+        assert residue == specialize(laurent, p)
+        assert is_integral(residue)
+
+
+def test_integer_residues_keep_integral_coeffs():
+    x = CyclotomicScalar(5, (3, -1, 0, 7, 2, 9, -4))  # degree 6 reduces below 4
+    y = CyclotomicScalar.q_power(5, 3) - 2
+    for value in (x, y, x + y, x - y, x * y, x * x * y, -x, 3 * x, x + 1):
+        assert is_integral(value)
+    assert not is_integral(x.inverse())
+
+
+@given(ORDERS, st.integers(min_value=-20, max_value=20))
+@example(p=3, n=2)
+def test_fraction_with_integral_value_is_an_int(p, n):
+    x = CyclotomicScalar(p, (Fraction(2 * n, 2),))
+    y = CyclotomicScalar(p, (n,))
+    assert x == y
+    assert hash(x) == hash(y)
+    assert str(x) == str(y) == str(n)
+    assert x.coeffs == y.coeffs and is_integral(x)
+
+
+@given(rational_residues())
+def test_rational_residue_parse_roundtrip(x):
+    assert CyclotomicScalar.parse(str(x), x.p) == x
+    assert hash(CyclotomicScalar.parse(str(x), x.p)) == hash(x)
+
+
+@given(rational_residues(), st.integers(min_value=1, max_value=30))
+def test_rational_residue_scaling(x, d):
+    # coeffs are the residue's rational values whatever the denominator
+    scaled = CyclotomicScalar(x.p, [c * d for c in x.coeffs])
+    assert scaled == x * d
+    assert CyclotomicScalar(x.p, x.coeffs) == x
+    if x:
+        assert x * x.inverse() == 1
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError):
+        CyclotomicScalar(3, (0.1,))
+    with pytest.raises(TypeError):
+        CyclotomicScalar(5, (1, 2.0))
+    with pytest.raises(TypeError):
+        LaurentScalar({0: 1.5})
+    with pytest.raises(TypeError):
+        LaurentScalar({2: 1, 3: Fraction(1, 2)})
