@@ -16,7 +16,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 
@@ -196,7 +195,6 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
             return tuple(word)
 
 
-@lru_cache(maxsize=None)
 def superstandard(shape: Partition) -> Tableau:
     """The standard tableau filled down successive columns left to right."""
     heights = shape.column_heights()
@@ -219,13 +217,12 @@ def precedes(i: int, j: int, t: Tableau) -> bool:
 
 
 def word_of_tableau(t: Tableau) -> Permutation:
-    """The permutation w with w(superstandard) = t, acting on entries."""
-    base = superstandard(t.shape)
-    images = [0] * t.n
-    for r, row in enumerate(base.rows):
-        for c, v in enumerate(row):
-            images[v - 1] = t.entry(r, c)
-    return Permutation(tuple(images))
+    """The permutation w with w(superstandard) = t, acting on entries.
+
+    The superstandard tableau numbers its cells in column reading order, so
+    w(v) is the v-th letter of t's column reading word.
+    """
+    return Permutation(t.column_word())
 
 
 def tableau_distance(t: Tableau) -> int:
@@ -262,15 +259,9 @@ def _generate_standard(shape: Partition):
     yield from place(1)
 
 
-@lru_cache(maxsize=None)
 def enumerate_standard(shape: Partition) -> tuple[Tableau, ...]:
     """All standard tableaux of the shape, in the fixed basis order."""
     return tuple(sorted(_generate_standard(shape), key=_order_key))
-
-
-@lru_cache(maxsize=None)
-def basis_index(shape: Partition) -> dict[Tableau, int]:
-    return {t: i for i, t in enumerate(enumerate_standard(shape))}
 
 
 def hook_count(shape: Partition) -> int:

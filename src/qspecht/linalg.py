@@ -27,10 +27,6 @@ class Matrix:
         self.domain.check_entries(entries)
 
     @classmethod
-    def from_rows(cls, domain: ScalarDomain, rows) -> "Matrix":
-        return cls(domain, tuple(tuple(row) for row in rows))
-
-    @classmethod
     def identity(cls, domain: ScalarDomain, n: int) -> "Matrix":
         one, zero = domain.one(), domain.zero()
         return cls(domain, tuple(

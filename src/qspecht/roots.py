@@ -209,7 +209,7 @@ def find_submodule_generators(lam: Partition, mu: Partition, p: int) -> tuple[Sp
         raise ValueError(f"candidate shape {mu} is not {p}-regular")
     domain = root_of_unity(p)
     elements = list(column_elements(mu)) + list(garnir_elements(mu))
-    dim = len(enumerate_standard(lam))
+    dim = hook_count(lam)
     if elements:
         stacked = vstack(
             [annihilator_matrix(e, lam, domain) for e in elements], domain, dim

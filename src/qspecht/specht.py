@@ -20,17 +20,17 @@ sum_d (-q)^{-l(d)} h(d) (d over minimal-length coset representatives)
 annihilate the superstandard generator vector; evaluating them inside a
 different Specht module is what the root-of-unity submodule search uses.
 
-`SpechtModule(shape, domain)` holds the work that belongs to one module:
-the straightening memo, the action of the generators and of (scalar, word)
-sums, and matrix building.  The public functions take their module from
-`specht_module`, which keeps the module of the most recent (shape, domain)
-only; `specht_module.cache_clear()` frees it.
+`SpechtModule(shape, domain)` holds all per-shape data: the standard-tableau
+`basis` and its `index`, the straightening memo, the action of the
+generators and of (scalar, word) sums, and matrix building.  The public
+functions take their module from `specht_module`, which keeps the module of
+the most recent (shape, domain) only; `specht_module.cache_clear()` frees it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -38,8 +38,8 @@ from .combinat import (
     Partition,
     Permutation,
     Tableau,
-    basis_index,
     enumerate_standard,
+    hook_count,
     precedes,
     reduced_word,
     superstandard,
@@ -64,8 +64,9 @@ class SpechtVector:
     coords: tuple
 
     def __post_init__(self):
-        if len(self.coords) != len(enumerate_standard(self.shape)):
+        if len(self.coords) != hook_count(self.shape):
             raise ValueError("coordinate count does not match the standard basis")
+        self.domain.check_entries((self.coords,))
 
     @classmethod
     def basis_vector(cls, t: Tableau, domain: ScalarDomain) -> "SpechtVector":
@@ -74,14 +75,17 @@ class SpechtVector:
     @classmethod
     def from_terms(cls, shape: Partition, terms: Mapping[Tableau, object],
                    domain: ScalarDomain) -> "SpechtVector":
-        index = basis_index(shape)
+        index = specht_module(shape, domain).index
         coords = [domain.zero()] * len(index)
         for t, c in terms.items():
-            coords[index[t]] = coords[index[t]] + c
+            i = index.get(t)
+            if i is None:
+                raise ValueError(f"tableau {t} is not a standard tableau of shape {shape}")
+            coords[i] = coords[i] + c
         return cls(shape, domain, tuple(coords))
 
     def terms(self) -> dict[Tableau, object]:
-        basis = enumerate_standard(self.shape)
+        basis = specht_module(self.shape, self.domain).basis
         return {t: c for t, c in zip(basis, self.coords) if c}
 
     def is_zero(self) -> bool:
@@ -175,12 +179,13 @@ def garnir_relation_terms(t: Tableau, row: int, col: int,
 
 
 class SpechtModule:
-    """S^shape over one scalar domain: straightening, the action, matrices.
+    """S^shape over one scalar domain: basis, straightening, the action, matrices.
 
-    `memo` maps every tableau straightened so far to its standard-basis
-    expansion ((tableau, coefficient), ...).  `policy` picks the row
-    descent each Garnir step removes; the expansions do not depend on it.
-    Terms are dicts from tableaux to nonzero scalars.
+    `basis` lists the standard tableaux in basis order and `index` inverts
+    it; both are built on first use.  `memo` maps every tableau straightened
+    so far to its standard-basis expansion ((tableau, coefficient), ...).
+    `policy` picks the row descent each Garnir step removes; the expansions
+    do not depend on it.  Terms are dicts from tableaux to nonzero scalars.
     """
 
     def __init__(self, shape: Partition, domain: ScalarDomain, policy: str = TOPMOST):
@@ -190,6 +195,14 @@ class SpechtModule:
         self._descent = _DESCENT[policy]
         self._zero, self._one, self._q = domain.zero(), domain.one(), domain.q()
         self._q_minus_1 = self._q - self._one
+
+    @cached_property
+    def basis(self) -> tuple[Tableau, ...]:
+        return enumerate_standard(self.shape)
+
+    @cached_property
+    def index(self) -> dict[Tableau, int]:
+        return {t: i for i, t in enumerate(self.basis)}
 
     def straighten_tableau(self, t: Tableau) -> tuple:
         """Standard-basis expansion of v_t as ((tableau, coefficient), ...)."""
@@ -257,13 +270,11 @@ class SpechtModule:
     def matrix(self, act) -> Matrix:
         """Matrix of a linear action given on terms; column j is the image
         of the j-th standard basis tableau."""
-        basis = enumerate_standard(self.shape)
-        index = basis_index(self.shape)
-        grid = [[self._zero] * len(basis) for _ in basis]
-        for j, t in enumerate(basis):
+        grid = [[self._zero] * len(self.basis) for _ in self.basis]
+        for j, t in enumerate(self.basis):
             for u, c in act({t: self._one}).items():
-                grid[index[u]][j] = c
-        return Matrix(self.domain, tuple(tuple(row) for row in grid))
+                grid[self.index[u]][j] = c
+        return Matrix(self.domain, grid)
 
     def check_equalities(self, equalities, starts) -> list[tuple[str, bool]]:
         """Check each (name, lhs, rhs) of (scalar, word) sums by applying both
@@ -329,7 +340,7 @@ def character_trace(shape: Partition, word: Iterable[int],
         _check_generator_index(i, shape.n)
     module = specht_module(shape, domain)
     acc = domain.zero()
-    for t in enumerate_standard(shape):
+    for t in module.basis:
         image = module.act_word(word, {t: domain.one()})
         if t in image:
             acc = acc + image[t]
@@ -484,9 +495,9 @@ def defining_relation_checks(shape: Partition,
                              domain: ScalarDomain = GENERIC) -> list[tuple[str, bool]]:
     """Quadratic, braid and commutation relations on every standard basis
     vector, which is column by column the exact matrix identity."""
-    one = domain.one()
-    starts = [{t: one} for t in enumerate_standard(shape)]
-    return specht_module(shape, domain).check_equalities(_relations(shape.n, domain), starts)
+    module = specht_module(shape, domain)
+    starts = [{t: domain.one()} for t in module.basis]
+    return module.check_equalities(_relations(shape.n, domain), starts)
 
 
 def generator_relation_checks(shape: Partition,

@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from qspecht.combinat import (
     precedes,
     reduced_word,
     superstandard,
+    tableau_distance,
     word_of_tableau,
 )
 
@@ -82,12 +85,27 @@ def test_word_of_tableau():
     assert word_of_tableau(base).is_identity()
     w = word_of_tableau(Tableau.parse("1,2/3"))
     assert w.images == (1, 3, 2)
-    # applying the word to the superstandard tableau recovers the tableau
-    for t in enumerate_standard(Partition((3, 2, 1))):
-        w = word_of_tableau(t)
-        base = superstandard(t.shape)
-        rebuilt = Tableau(tuple(tuple(w(v) for v in row) for row in base.rows))
-        assert rebuilt == t
+    # every filling, standard or not (Garnir candidates are not), of every
+    # shape with n <= 5, against the definition w(superstandard) = t
+    checked = 0
+    for n in range(1, 6):
+        for parts in all_partitions(n):
+            base = superstandard(Partition(parts))
+            for filling in itertools.permutations(range(1, n + 1)):
+                cells = iter(filling)
+                t = Tableau(tuple(tuple(next(cells) for _ in range(part)) for part in parts))
+                images = [0] * n
+                for r, row in enumerate(base.rows):
+                    for c, v in enumerate(row):
+                        images[v - 1] = t.entry(r, c)
+                reference = Permutation(tuple(images))
+                w = word_of_tableau(t)
+                assert w == reference
+                assert tableau_distance(t) == reference.inversions()
+                # applying the word to the superstandard tableau recovers t
+                assert Tableau(tuple(tuple(w(v) for v in row) for row in base.rows)) == t
+                checked += 1
+    assert checked == sum(len(list(all_partitions(n))) * factorial(n) for n in range(1, 6))
 
 
 def test_reduced_word_examples():

@@ -171,7 +171,7 @@ def test_generated_span_rank_is_four():
     for length in range(0, 4):
         for word in product(range(1, 5), repeat=length):
             rows.append(apply_word(word, generator).coords)
-    span = Matrix.from_rows(root_of_unity(3), rows)
+    span = Matrix(root_of_unity(3), rows)
     assert rank(span) == 4
 
 

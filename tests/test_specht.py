@@ -57,6 +57,22 @@ def terms_as_strings(v):
     return {str(t): str(c) for t, c in v.terms().items()}
 
 
+# -------------------------------------------------------------------- vectors
+
+def test_vector_rejects_tableaux_outside_the_basis():
+    with pytest.raises(ValueError, match=r"2,1,3/4,5 .* shape 3,2"):
+        SpechtVector.basis_vector(Tableau.parse("2,1,3/4,5"), GENERIC)
+    with pytest.raises(ValueError, match=r"1,2/3 .* shape 3,2"):
+        SpechtVector.from_terms(S32, {Tableau.parse("1,2/3"): LaurentScalar(1)}, GENERIC)
+
+
+def test_vector_rejects_coordinates_from_another_domain():
+    with pytest.raises(ValueError, match="not in domain"):
+        SpechtVector(S32, root_of_unity(3), (LaurentScalar(1),) * 5)
+    with pytest.raises(ValueError, match="not in domain"):
+        SpechtVector(S32, GENERIC, (root_of_unity(3).one(),) * 5)
+
+
 # ---------------------------------------------------------------- straighten
 
 def test_straighten_standard_is_identity():
@@ -413,6 +429,16 @@ def test_fresh_module_matches_registry(parts, p):
                   for i in range(1, shape.n)]
     specht_module.cache_clear()
     assert fresh_mats == [generator_matrix(shape, i, domain) for i in range(1, shape.n)]
+
+
+@pytest.mark.parametrize("p", [None, 3], ids=["generic", "p3"])
+@pytest.mark.parametrize("parts", [(3, 2), (4, 2, 1), (2, 2, 2)])
+def test_module_owns_its_basis(parts, p):
+    shape = Partition(parts)
+    module = SpechtModule(shape, GENERIC if p is None else root_of_unity(p))
+    assert module.basis == enumerate_standard(shape)
+    assert len(module.index) == len(module.basis)
+    assert all(module.basis[i] == t for t, i in module.index.items())
 
 
 def test_registry_keeps_one_module():
