@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over the scalar domains.
+"""Exact linear algebra over the scalar domains.
 
-Matrix products work over both domains; kernels, ranks and invariant-subspace
-closures need a field, so they require a root-of-unity domain (specialize
-generic matrices first).  All three share one incremental reduced row echelon
-routine.  Kernel bases are echelon-normalized and therefore deterministic.
+`Matrix` products work over both domains.  Kernels, ranks and subspace
+closures need a field (a root-of-unity domain; specialize generic matrices
+first).  Kernels and closures act through linear maps on coordinate tuples,
+so nothing that is only applied to vectors becomes a matrix.  All of them
+share one incremental RREF routine; kernel bases are echelon-normalized.
 """
 
 from __future__ import annotations
@@ -104,15 +105,6 @@ class Matrix:
         )
 
 
-def vstack(blocks: list[Matrix], domain: ScalarDomain, cols: int) -> Matrix:
-    rows = []
-    for block in blocks:
-        if block.domain != domain or block.cols != cols:
-            raise ValueError("incompatible block in vertical stack")
-        rows.extend(block.entries)
-    return Matrix(domain, tuple(rows))
-
-
 def specialize_matrix(m: Matrix, p: int) -> Matrix:
     """Entrywise specialization of a generic matrix at a p-th root of unity."""
     if not m.domain.is_generic:
@@ -122,9 +114,10 @@ def specialize_matrix(m: Matrix, p: int) -> Matrix:
     ))
 
 
-def _require_field(m: Matrix):
-    if m.domain.is_generic:
-        raise ValueError("kernel/rank need a field domain; specialize at a root of unity first")
+def _require_field(domain: ScalarDomain):
+    if domain.is_generic:
+        raise ValueError("kernels, ranks and closures need a field domain; "
+                         "specialize at a root of unity first")
 
 
 class _Echelon:
@@ -158,52 +151,53 @@ class _Echelon:
         return True
 
 
-def _rref(m: Matrix) -> dict[int, list]:
-    """The nonzero RREF rows of m, keyed by pivot column."""
-    echelon = _Echelon()
-    for row in m.entries:
-        echelon.add(row)
-    return echelon.rows
-
-
 def rank(m: Matrix) -> int:
     """Exact rank over a field domain."""
-    _require_field(m)
-    return len(_rref(m))
+    _require_field(m.domain)
+    echelon = _Echelon()
+    return sum(echelon.add(row) for row in m.entries)
+
+
+def joint_kernel(domain: ScalarDomain, dim: int, maps) -> tuple[tuple, ...]:
+    """Echelon-normalized basis of the vectors that every map sends to zero.
+
+    Maps are linear callables on coordinate tuples of length dim.  Each is
+    applied to the current basis only: in the RREF of the pairs (A v,
+    v reversed), the rows with no pivot in the image part are killed by A,
+    and read right to left they are the next basis.  That RREF with its
+    columns reversed is the echelon-normalized kernel (a 1 in one free
+    coordinate, 0 in the others), so the order of the maps does not matter.
+    """
+    _require_field(domain)
+    one, zero = domain.one(), domain.zero()
+    span = [tuple(one if i == j else zero for i in range(dim)) for j in range(dim)]
+    for apply in maps:
+        echelon, width = _Echelon(), 0
+        for v in span:
+            image = tuple(apply(v))
+            width = len(image)
+            echelon.add(image + v[::-1])
+        span = [tuple(reversed(row[width:]))
+                for pivot, row in sorted(echelon.rows.items(), reverse=True) if pivot >= width]
+    return tuple(span)
 
 
 def kernel(m: Matrix) -> tuple[Matrix, ...]:
-    """Echelon-normalized basis of the right null space, as column vectors.
-
-    Each basis vector has a 1 in one free coordinate and 0 in the others,
-    so the output is unique and deterministic.
-    """
-    _require_field(m)
-    rows = _rref(m)
-    one, zero = m.domain.one(), m.domain.zero()
-    basis = []
-    for f in (c for c in range(m.cols) if c not in rows):
-        coords = [zero] * m.cols
-        coords[f] = one
-        for pivot, row in rows.items():
-            coords[pivot] = -row[f]
-        basis.append(Matrix.column(m.domain, coords))
-    return tuple(basis)
+    """Echelon-normalized basis of the right null space, as column vectors."""
+    return tuple(Matrix.column(m.domain, v) for v in joint_kernel(
+        m.domain, m.cols, [lambda v: (m * Matrix.column(m.domain, v)).column_coords()]))
 
 
-def closure_dimension(columns, matrices) -> int:
-    """Dimension of the smallest subspace that contains the column vectors
-    and is mapped into itself by every matrix."""
+def closure_dimension(domain: ScalarDomain, vectors, maps) -> int:
+    """Dimension of the smallest subspace that contains the coordinate
+    vectors and is mapped into itself by every map."""
+    _require_field(domain)
     echelon = _Echelon()
-    queue = []
-    for v in columns:
-        _require_field(v)
-        if echelon.add(v.column_coords()):
-            queue.append(v)
+    queue = [v for v in vectors if echelon.add(v)]
     while queue:
         v = queue.pop()
-        for m in matrices:
-            image = m * v
-            if echelon.add(image.column_coords()):
+        for apply in maps:
+            image = apply(v)
+            if echelon.add(image):
                 queue.append(image)
     return len(echelon.rows)

@@ -14,12 +14,14 @@ irreducible quotient; their count reproduces the dimension formula.
 
 A brute-force oracle, valid for any shapes, searches S^lambda for
 vectors killed by every column and Garnir element of a candidate mu;
-a nonzero kernel certifies the submodule.
+a nonzero kernel certifies the submodule.  The oracle and the submodule
+closure apply the module's action to vectors and build no matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .combinat import (
     BoundaryStrip,
@@ -29,14 +31,13 @@ from .combinat import (
     enumerate_standard,
     hook_count,
 )
-from .linalg import Matrix, closure_dimension, kernel, vstack
+from .linalg import closure_dimension, joint_kernel
 from .scalar import root_of_unity
 from .specht import (
     SpechtVector,
-    annihilator_matrix,
     column_elements,
     garnir_elements,
-    generator_matrix,
+    specht_module,
 )
 
 
@@ -194,6 +195,12 @@ def enumerate_p_root_standard(shape: Partition, p: int) -> tuple[Tableau, ...]:
     return tuple(t for t in enumerate_standard(shape) if is_p_root_standard(t, p))
 
 
+def _on_coords(module, act):
+    """A linear action on the module's term dicts, as a map on coordinate tuples."""
+    return lambda coords: SpechtVector.from_terms(module.shape, act(
+        SpechtVector(module.shape, module.domain, coords).terms()), module.domain).coords
+
+
 def find_submodule_generators(lam: Partition, mu: Partition, p: int) -> tuple[SpechtVector, ...]:
     """Exact basis of the joint kernel in S^lam of all annihilators of mu.
 
@@ -208,26 +215,21 @@ def find_submodule_generators(lam: Partition, mu: Partition, p: int) -> tuple[Sp
     if not is_p_regular(mu, p):
         raise ValueError(f"candidate shape {mu} is not {p}-regular")
     domain = root_of_unity(p)
+    module = specht_module(lam, domain)
     elements = list(column_elements(mu)) + list(garnir_elements(mu))
-    dim = hook_count(lam)
-    if elements:
-        stacked = vstack(
-            [annihilator_matrix(e, lam, domain) for e in elements], domain, dim
-        )
-    else:
-        stacked = Matrix.zero(domain, 1, dim)
-    return tuple(
-        SpechtVector(lam, domain, column.column_coords()) for column in kernel(stacked)
-    )
+    maps = [_on_coords(module, partial(module.apply_element, e.terms(domain))) for e in elements]
+    return tuple(SpechtVector(lam, domain, coords)
+                 for coords in joint_kernel(domain, hook_count(lam), maps))
 
 
 def submodule_dimension(lam: Partition, generators, p: int) -> int:
     """Dimension of the smallest generator-closed subspace containing them."""
     domain = root_of_unity(p)
-    columns = []
+    vectors = []
     for v in generators:
         if v.shape != lam or v.domain != domain:
             raise ValueError("generator does not live in the requested module")
-        columns.append(Matrix.column(domain, v.coords))
-    mats = [generator_matrix(lam, i, domain) for i in range(1, lam.n)]
-    return closure_dimension(columns, mats)
+        vectors.append(v.coords)
+    module = specht_module(lam, domain)
+    maps = [_on_coords(module, partial(module.act_generator, i)) for i in range(1, lam.n)]
+    return closure_dimension(domain, vectors, maps)

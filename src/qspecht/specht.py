@@ -191,6 +191,8 @@ class SpechtModule:
     def __init__(self, shape: Partition, domain: ScalarDomain, policy: str = TOPMOST):
         self.shape = shape
         self.domain = domain
+        if policy not in _DESCENT:
+            raise ValueError(f"unknown policy {policy!r}; use {TOPMOST!r} or {BOTTOMMOST!r}")
         self.memo: dict[Tableau, tuple] = {}
         self._descent = _DESCENT[policy]
         self._zero, self._one, self._q = domain.zero(), domain.one(), domain.q()

@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qspecht.linalg import Matrix, kernel, rank, specialize_matrix, vstack
+from qspecht.linalg import (
+    Matrix,
+    closure_dimension,
+    joint_kernel,
+    kernel,
+    rank,
+    specialize_matrix,
+)
 from qspecht.scalar import GENERIC, LaurentScalar, root_of_unity
 
 P3 = root_of_unity(3)
@@ -87,6 +94,58 @@ def test_rank_nullity_and_exactness(m):
         assert all(x.is_zero() for x in (m * v).column_coords())
 
 
+def row_maps(m, cuts):
+    """The rows of m split at the cut points, each block as a map on vectors."""
+    bounds = [0, *sorted(cuts), m.rows]
+    blocks = [Matrix(m.domain, m.entries[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [lambda v, b=b: (b * Matrix.column(m.domain, v)).column_coords()
+            for b in blocks if b.rows]
+
+
+@st.composite
+def cyc_matrices(draw):
+    p = draw(st.sampled_from([3, 4]))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    domain = root_of_unity(p)
+    entries = draw(st.lists(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2)),
+                                     min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows))
+    return Matrix(domain, [[domain.from_int(a) * domain.q_power(e) for a, e in row]
+                           for row in entries])
+
+
+@given(cyc_matrices(), st.lists(st.integers(min_value=0, max_value=6), max_size=4),
+       st.randoms(use_true_random=False))
+def test_joint_kernel_of_split_rows_is_kernel(m, cuts, rng):
+    maps = row_maps(m, [min(c, m.rows) for c in cuts])
+    rng.shuffle(maps)
+    expected = tuple(v.column_coords() for v in kernel(m))
+    assert joint_kernel(m.domain, m.cols, maps) == expected
+
+
+def test_joint_kernel_without_maps_is_the_identity_basis():
+    assert joint_kernel(P3, 2, []) == ((cyc(1), cyc(0)), (cyc(0), cyc(1)))
+    assert joint_kernel(P3, 0, []) == ()
+
+
+def test_kernel_routines_require_field():
+    one, zero = GENERIC.one(), GENERIC.zero()
+    with pytest.raises(ValueError, match="field domain"):
+        joint_kernel(GENERIC, 2, [lambda v: v])
+    with pytest.raises(ValueError, match="field domain"):
+        closure_dimension(GENERIC, [(one, zero)], [lambda v: v[::-1]])
+
+
+def test_closure_dimension_of_a_cycle():
+    # the cyclic shift spins e_0 up to the whole space, and fixes e_0 + e_1 + e_2
+    shift = lambda v: v[-1:] + v[:-1]  # noqa: E731
+    e0 = (cyc(1), cyc(0), cyc(0))
+    assert closure_dimension(P3, [e0], [shift]) == 3
+    assert closure_dimension(P3, [(cyc(1),) * 3], [shift]) == 1
+    assert closure_dimension(P3, [], [shift]) == 0
+
+
 def test_kernel_is_echelon_normalized():
     # duplicated columns: kernel pivots on the free column with coefficient one
     m = Matrix(P3, [[cyc(1), cyc(1)]])
@@ -99,14 +158,6 @@ def test_specialize_matrix_entrywise():
     assert specialize_matrix(m, 3)[0, 0].is_zero()
     with pytest.raises(ValueError):
         specialize_matrix(specialize_matrix(m, 3), 3)
-
-
-def test_vstack():
-    a = Matrix.identity(P3, 2)
-    stacked = vstack([a, a], P3, 2)
-    assert stacked.rows == 4 and stacked.cols == 2
-    with pytest.raises(ValueError):
-        vstack([a], P3, 3)
 
 
 def test_matrix_rejects_foreign_entries():

@@ -1,6 +1,7 @@
 import pytest
 
 from qspecht.combinat import Partition, Tableau, hook_count, superstandard
+from qspecht.linalg import Matrix, kernel
 from qspecht.roots import (
     TwoRowTableauView,
     admissible_multiplier,
@@ -15,13 +16,30 @@ from qspecht.roots import (
     submodule_dimension,
 )
 from qspecht.scalar import root_of_unity
-from qspecht.specht import SpechtVector
+from qspecht.specht import (
+    SpechtVector,
+    annihilator_matrix,
+    column_elements,
+    garnir_elements,
+)
 
 
 def two_row_shapes(max_n):
     for n in range(1, max_n + 1):
         for second in range(0, n // 2 + 1):
             yield Partition((n - second, second) if second else (n,))
+
+
+def shapes_of(n, rows, maxpart=None):
+    """Partitions of n with at most `rows` parts, as tuples."""
+    if n == 0:
+        yield ()
+        return
+    if rows == 0:
+        return
+    for first in range(min(n, maxpart or n), 0, -1):
+        for rest in shapes_of(n - first, rows - 1, first):
+            yield (first,) + rest
 
 
 def test_is_p_regular():
@@ -224,7 +242,7 @@ def test_oracle_agrees_with_window_small():
 @pytest.mark.parametrize("p", [4, 6])
 def test_composite_order_oracles_agree(p):
     # window, oracle, p-root count and closure dimension agree at composite p
-    for lam in two_row_shapes(7):
+    for lam in two_row_shapes(8):
         report = analyze(lam, p)
         hits, generators = [], ()
         for mu in two_row_shapes(lam.n):
@@ -241,3 +259,32 @@ def test_composite_order_oracles_agree(p):
             assert report.submodule_dim + report.quotient_dim == report.specht_dim, lam
         else:
             assert hits == [], lam
+
+
+def stacked_reference(lam, mu, p):
+    """The joint kernel as the kernel of every annihilator matrix stacked."""
+    domain = root_of_unity(p)
+    rows = [row for e in list(column_elements(mu)) + list(garnir_elements(mu))
+            for row in annihilator_matrix(e, lam, domain).entries]
+    return [v.column_coords() for v in kernel(Matrix(domain, rows))]
+
+
+def oracle_cases():
+    """Acceptance criterion 10, test_composite_order_oracles_agree, and every
+    pair of shapes with at most three rows and n <= 6, each case once."""
+    shapes = [Partition(parts) for n in range(2, 7) for parts in shapes_of(n, 3)]
+    cases = [(lam, mu, p) for lam in two_row_shapes(8) for mu in two_row_shapes(8)
+             for p in (3, 4, 5, 6)]
+    cases += [(lam, mu, p) for lam in shapes for mu in shapes for p in (3, 4, 5)]
+    return dict.fromkeys(
+        (lam, mu, p) for lam, mu, p in cases
+        if mu.n == lam.n and mu != lam and is_p_regular(mu, p))
+
+
+def test_oracle_equals_stacked_annihilator_kernel():
+    hits = 0
+    for lam, mu, p in oracle_cases():
+        got = [v.coords for v in find_submodule_generators(lam, mu, p)]
+        assert got == stacked_reference(lam, mu, p), (lam, mu, p)
+        hits += bool(got)
+    assert hits > 0

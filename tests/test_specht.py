@@ -133,6 +133,14 @@ def test_straighten_policy_confluence(t):
     assert straighten(v) == straighten(v, policy=BOTTOMMOST)
 
 
+def test_unknown_policy_is_a_value_error():
+    v = TableauVector.single(Tableau.parse("2,1,3/4,5"), GENERIC)
+    with pytest.raises(ValueError, match="'sideways'.*'topmost' or 'bottommost'"):
+        straighten(v, policy="sideways")
+    with pytest.raises(ValueError, match="'topmost' or 'bottommost'"):
+        SpechtModule(S32, GENERIC, "sideways")
+
+
 # -------------------------------------------------------------------- action
 
 def test_action_on_column_pair():
