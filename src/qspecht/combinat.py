@@ -78,6 +78,14 @@ class Tableau:
             raise ValueError(f"tableau entries must be exactly 1..{n}: {rows}")
 
     @classmethod
+    def _unchecked(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
+        """A tableau from rows already known to be a valid filling, such as a
+        permutation of the entries of a validated tableau; skips validation."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        return t
+
+    @classmethod
     def parse(cls, text: str) -> "Tableau":
         try:
             rows = tuple(
@@ -111,11 +119,9 @@ class Tableau:
         return tuple(row[c] for row in self.rows if len(row) > c)
 
     def column_word(self) -> tuple[int, ...]:
-        width = len(self.rows[0]) if self.rows else 0
-        word = []
-        for c in range(width):
-            word.extend(self.column(c))
-        return tuple(word)
+        rows = self.rows
+        return tuple(row[c] for c in range(len(rows[0]) if rows else 0)
+                     for row in rows if len(row) > c)
 
     def is_standard(self) -> bool:
         for row in self.rows:
@@ -130,8 +136,11 @@ class Tableau:
 
     def with_swapped(self, a: int, b: int) -> "Tableau":
         """Swap the entries a and b (values, not positions)."""
+        n = self.n
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"entries {a} and {b} must both lie in 1..{n}")
         swap = {a: b, b: a}
-        return Tableau(tuple(tuple(swap.get(v, v) for v in row) for row in self.rows))
+        return Tableau._unchecked(tuple(tuple(swap.get(v, v) for v in row) for row in self.rows))
 
     def __str__(self):
         return "/".join(",".join(str(v) for v in row) for row in self.rows)
@@ -230,38 +239,30 @@ def tableau_distance(t: Tableau) -> int:
     return word_of_tableau(t).inversions()
 
 
-def _order_key(t: Tableau) -> tuple[int, ...]:
-    # basis order: row index of n, then n-1, ...; smaller row first
-    row_of = [0] * (t.n + 1)
-    for r, row in enumerate(t.rows):
-        for v in row:
-            row_of[v] = r
-    return tuple(row_of[v] for v in range(t.n, 0, -1))
+def enumerate_standard(shape: Partition) -> tuple[Tableau, ...]:
+    """All standard tableaux of the shape, in the fixed basis order.
 
-
-def _generate_standard(shape: Partition):
-    parts = shape.parts
-    n = shape.n
-    filled = [0] * len(parts)
+    Entries are placed from n down, each in a removable corner of the cells
+    still empty, trying the rows top to bottom: that visits the tableaux in
+    order of the row of n, then of n-1, and so on, which is the basis order.
+    """
+    parts = list(shape.parts)
     grid = [[0] * part for part in parts]
+    out = []
 
     def place(entry: int):
-        if entry > n:
-            yield Tableau(tuple(tuple(row) for row in grid))
+        if not entry:
+            out.append(Tableau._unchecked(tuple(tuple(row) for row in grid)))
             return
         for r, part in enumerate(parts):
-            if filled[r] < part and (r == 0 or filled[r - 1] > filled[r]):
-                grid[r][filled[r]] = entry
-                filled[r] += 1
-                yield from place(entry + 1)
-                filled[r] -= 1
+            if part and (r + 1 == len(parts) or parts[r + 1] < part):
+                parts[r] -= 1
+                grid[r][part - 1] = entry
+                place(entry - 1)
+                parts[r] += 1
 
-    yield from place(1)
-
-
-def enumerate_standard(shape: Partition) -> tuple[Tableau, ...]:
-    """All standard tableaux of the shape, in the fixed basis order."""
-    return tuple(sorted(_generate_standard(shape), key=_order_key))
+    place(shape.n)
+    return tuple(out)
 
 
 def hook_count(shape: Partition) -> int:

@@ -1,43 +1,63 @@
 """Exact linear algebra over the scalar domains.
 
-`Matrix` products work over both domains.  Kernels, ranks and subspace
-closures need a field (a root-of-unity domain; specialize generic matrices
-first).  Kernels and closures act through linear maps on coordinate tuples,
-so nothing that is only applied to vectors becomes a matrix.  All of them
-share one incremental RREF routine; kernel bases are echelon-normalized.
+`Matrix` stores only its nonzero entries, and its products work over both
+domains.  Kernels, ranks and subspace closures need a field (a
+root-of-unity domain; specialize generic matrices first).  Kernels and
+closures act through linear maps on coordinate tuples, so nothing that is
+only applied to vectors becomes a matrix.  All of them share one
+incremental RREF routine; kernel bases are echelon-normalized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .scalar import ScalarDomain, specialize, root_of_unity
 
 
-@dataclass(frozen=True)
 class Matrix:
-    domain: ScalarDomain
-    entries: tuple[tuple, ...]
+    """An exact matrix that stores only its nonzero entries, one dict per
+    column from row index to entry.
 
-    def __post_init__(self):
-        entries = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
-        widths = {len(row) for row in entries}
+    `Matrix(domain, rows)` takes a dense grid and validates every entry;
+    `from_columns` takes the per-column dicts.  `entries` is a dense view,
+    built on each access and not kept.
+    """
+
+    __slots__ = ("domain", "_rows", "_columns")
+
+    def __init__(self, domain: ScalarDomain, entries):
+        grid = [tuple(row) for row in entries]
+        widths = {len(row) for row in grid}
         if len(widths) > 1:
             raise ValueError("ragged matrix rows")
-        self.domain.check_entries(entries)
+        domain.check_entries(grid)
+        columns = [{} for _ in range(widths.pop() if widths else 0)]
+        for r, row in enumerate(grid):
+            for column, x in zip(columns, row):
+                if x:
+                    column[r] = x
+        self.domain, self._rows, self._columns = domain, len(grid), columns
+
+    @classmethod
+    def from_columns(cls, domain: ScalarDomain, rows: int, columns) -> "Matrix":
+        """A rows x len(columns) matrix from per-column dicts {row: entry};
+        zero entries are dropped."""
+        columns = list(columns)
+        domain.check_entries([column.values() for column in columns])
+        columns = [{r: x for r, x in column.items() if x} for column in columns]
+        if any(not 0 <= r < rows for column in columns for r in column):
+            raise ValueError(f"row index out of range 0..{rows - 1}")
+        m = object.__new__(cls)
+        m.domain, m._rows, m._columns = domain, rows, columns
+        return m
 
     @classmethod
     def identity(cls, domain: ScalarDomain, n: int) -> "Matrix":
-        one, zero = domain.one(), domain.zero()
-        return cls(domain, tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        ))
+        one = domain.one()
+        return cls.from_columns(domain, n, [{j: one} for j in range(n)])
 
     @classmethod
     def zero(cls, domain: ScalarDomain, rows: int, cols: int) -> "Matrix":
-        z = domain.zero()
-        return cls(domain, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return cls.from_columns(domain, rows, [{} for _ in range(cols)])
 
     @classmethod
     def column(cls, domain: ScalarDomain, coords) -> "Matrix":
@@ -45,18 +65,41 @@ class Matrix:
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return self._rows
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self._columns)
+
+    @property
+    def entries(self) -> tuple[tuple, ...]:
+        zero = self.domain.zero()
+        grid = [[zero] * self.cols for _ in range(self._rows)]
+        for c, column in enumerate(self._columns):
+            for r, x in column.items():
+                grid[r][c] = x
+        return tuple(tuple(row) for row in grid)
 
     def __getitem__(self, key):
         r, c = key
-        return self.entries[r][c]
+        rows, cols = self._rows, self.cols
+        if not (-rows <= r < rows and -cols <= c < cols):
+            raise IndexError(f"index {key} out of range for a {rows}x{cols} matrix")
+        return self._columns[c].get(r % rows, self.domain.zero())
 
     def column_coords(self, c: int = 0) -> tuple:
-        return tuple(row[c] for row in self.entries)
+        column, zero = self._columns[c], self.domain.zero()
+        return tuple(column.get(r, zero) for r in range(self._rows))
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.domain == other.domain and self._rows == other._rows
+                and self._columns == other._columns)
+
+    def __hash__(self):
+        return hash((self.domain, self._rows,
+                     tuple(frozenset(column.items()) for column in self._columns)))
 
     def _check_domain(self, other: "Matrix"):
         if self.domain != other.domain:
@@ -66,18 +109,36 @@ class Matrix:
         self._check_domain(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shapes differ")
-        return Matrix(self.domain, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        columns = []
+        for a, b in zip(self._columns, other._columns):
+            column = dict(a)
+            for r, x in b.items():
+                column[r] = column[r] + x if r in column else x
+            columns.append(column)
+        return Matrix.from_columns(self.domain, self._rows, columns)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(self.domain.from_int(-1))
 
     def scale(self, scalar) -> "Matrix":
-        return Matrix(self.domain, tuple(
-            tuple(scalar * x for x in row) for row in self.entries
-        ))
+        return Matrix.from_columns(self.domain, self._rows, [
+            {r: scalar * x for r, x in column.items()} for column in self._columns])
+
+    def _times(self, v: dict) -> dict:
+        """self times the sparse column v ({index: entry}), as {row: entry}."""
+        acc: dict = {}
+        for k, b in v.items():
+            for r, a in self._columns[k].items():
+                acc[r] = acc[r] + a * b if r in acc else a * b
+        return {r: x for r, x in acc.items() if x}
+
+    def apply(self, coords) -> tuple:
+        """self times a coordinate tuple, over the stored columns only."""
+        if len(coords) != self.cols:
+            raise ValueError(f"cannot apply a {self.rows}x{self.cols} matrix "
+                             f"to {len(coords)} coordinates")
+        image, zero = self._times({k: x for k, x in enumerate(coords) if x}), self.domain.zero()
+        return tuple(image.get(r, zero) for r in range(self._rows))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -85,33 +146,28 @@ class Matrix:
         self._check_domain(other)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = self.domain.zero()
-        cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix(self.domain, tuple(out))
+        return Matrix.from_columns(self.domain, self._rows,
+                                   [self._times(column) for column in other._columns])
 
     def __str__(self):
-        return "\n".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self.entries
-        )
+        zero = str(self.domain.zero())
+        grid = [[zero] * self.cols for _ in range(self._rows)]
+        for c, column in enumerate(self._columns):
+            for r, x in column.items():
+                grid[r][c] = str(x)
+        return "\n".join("[" + ", ".join(row) + "]" for row in grid)
+
+    def __repr__(self):
+        return (f"Matrix({self.domain}, {self.rows}x{self.cols}, "
+                f"{sum(map(len, self._columns))} nonzeros)")
 
 
 def specialize_matrix(m: Matrix, p: int) -> Matrix:
     """Entrywise specialization of a generic matrix at a p-th root of unity."""
     if not m.domain.is_generic:
         raise ValueError("specialize_matrix expects a generic-domain matrix")
-    return Matrix(root_of_unity(p), tuple(
-        tuple(specialize(x, p) for x in row) for row in m.entries
-    ))
+    return Matrix.from_columns(root_of_unity(p), m.rows, [
+        {r: specialize(x, p) for r, x in column.items()} for column in m._columns])
 
 
 def _require_field(domain: ScalarDomain):
@@ -184,8 +240,7 @@ def joint_kernel(domain: ScalarDomain, dim: int, maps) -> tuple[tuple, ...]:
 
 def kernel(m: Matrix) -> tuple[Matrix, ...]:
     """Echelon-normalized basis of the right null space, as column vectors."""
-    return tuple(Matrix.column(m.domain, v) for v in joint_kernel(
-        m.domain, m.cols, [lambda v: (m * Matrix.column(m.domain, v)).column_coords()]))
+    return tuple(Matrix.column(m.domain, v) for v in joint_kernel(m.domain, m.cols, [m.apply]))
 
 
 def closure_dimension(domain: ScalarDomain, vectors, maps) -> int:

@@ -196,9 +196,9 @@ def enumerate_p_root_standard(shape: Partition, p: int) -> tuple[Tableau, ...]:
 
 
 def _on_coords(module, act):
-    """A linear action on the module's term dicts, as a map on coordinate tuples."""
-    return lambda coords: SpechtVector.from_terms(module.shape, act(
-        SpechtVector(module.shape, module.domain, coords).terms()), module.domain).coords
+    """A linear action on the module's position-keyed terms, as a map on
+    coordinate tuples."""
+    return lambda coords: module.coords(act(module.terms(coords)))
 
 
 def find_submodule_generators(lam: Partition, mu: Partition, p: int) -> tuple[SpechtVector, ...]:

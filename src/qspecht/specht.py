@@ -21,10 +21,12 @@ annihilate the superstandard generator vector; evaluating them inside a
 different Specht module is what the root-of-unity submodule search uses.
 
 `SpechtModule(shape, domain)` holds all per-shape data: the standard-tableau
-`basis` and its `index`, the straightening memo, the action of the
-generators and of (scalar, word) sums, and matrix building.  The public
-functions take their module from `specht_module`, which keeps the module of
-the most recent (shape, domain) only; `specht_module.cache_clear()` frees it.
+`basis` and its `index`, the memo of column-sorted non-standard tableaux,
+the action table of h_i on each basis vector, the action of (scalar, word)
+sums, and matrix building; vectors inside it are keyed by basis position.
+The public functions take their module from `specht_module`, which keeps the
+module of the most recent (shape, domain) only; `specht_module.cache_clear()`
+frees it.
 """
 
 from __future__ import annotations
@@ -40,19 +42,18 @@ from .combinat import (
     Tableau,
     enumerate_standard,
     hook_count,
-    precedes,
     reduced_word,
     superstandard,
-    tableau_distance,
 )
 from .linalg import Matrix
 from .scalar import GENERIC, ScalarDomain
 
 TOPMOST = "topmost"
 BOTTOMMOST = "bottommost"
-# which row descent of a column-sorted tableau a Garnir step removes:
-# the first or the last in reading order (top to bottom, left to right)
-_DESCENT = {TOPMOST: 0, BOTTOMMOST: -1}
+# which row descent of a column-sorted tableau a Garnir step removes: the
+# first or the last in reading order (top to bottom, left to right), as the
+# step through the row neighbours in that order
+_DESCENT = {TOPMOST: 1, BOTTOMMOST: -1}
 
 
 @dataclass(frozen=True)
@@ -125,27 +126,60 @@ class TableauVector:
         return cls(t.shape, domain, {t: domain.one()})
 
 
-def _column_sorted(t: Tableau) -> tuple[int, Tableau]:
-    """Sort every column, returning the sign picked up (+1 or -1)."""
-    grid = [list(row) for row in t.rows]
-    heights = t.shape.column_heights()
-    sign = 1
-    for c, height in enumerate(heights):
-        col = [grid[r][c] for r in range(height)]
-        inversions = sum(
-            1 for i in range(height) for j in range(i + 1, height) if col[i] > col[j]
-        )
-        if inversions:
-            sign *= -1 if inversions % 2 else 1
-            for r, v in enumerate(sorted(col)):
-                grid[r][c] = v
-    return sign, Tableau(tuple(tuple(row) for row in grid))
+def _column_starts(heights: tuple[int, ...]) -> list[int]:
+    """The offset of each column in the column reading word, then the word's length."""
+    starts = [0]
+    for height in heights:
+        starts.append(starts[-1] + height)
+    return starts
 
 
-def _row_descents(t: Tableau) -> list[tuple[int, int]]:
-    """Every (row, col) with t[row][col] > t[row][col+1], in reading order."""
-    return [(r, c) for r, row in enumerate(t.rows)
-            for c in range(len(row) - 1) if row[c] > row[c + 1]]
+def _tableau_of_word(word: tuple[int, ...], heights: tuple[int, ...]) -> Tableau:
+    """The tableau of the given column heights whose column word is word;
+    word must be a permutation of the column word of a valid tableau."""
+    starts = _column_starts(heights)
+    return Tableau._unchecked(tuple(
+        tuple(word[starts[c] + r] for c in range(len(heights)) if heights[c] > r)
+        for r in range(heights[0] if heights else 0)))
+
+
+def _column_sorted(word: tuple[int, ...], columns) -> tuple[int, tuple[int, ...]]:
+    """Sort each (start, stop) column block of a column word, returning the
+    sign picked up (+1 or -1, the parity of the inversions) and the word."""
+    sign, out = 1, None
+    for start, stop in columns:
+        column = word[start:stop]
+        ordered = tuple(sorted(column))
+        if column != ordered:
+            if out is None:
+                out = list(word)
+            out[start:stop] = ordered
+            if sum(a > b for i, a in enumerate(column) for b in column[i + 1:]) % 2:
+                sign = -sign
+    return sign, word if out is None else tuple(out)
+
+
+def _garnir_block(word: tuple[int, ...], start: int, split: int, stop: int):
+    """Every redistribution of the Garnir pool word[start:stop], as
+    (column word, l(t) - l(t')) pairs, t being the tableau of word.
+
+    The pool is the bottom of one column from the descent row down
+    (word[start:split]) followed by the top of the next column down to that
+    row (word[split:stop]), one contiguous block of the column word, and a
+    redistribution keeps both segments increasing.  Only pairs inside the
+    block change order, so l(t) - l(t') is the difference of the block's
+    inversion counts; with the pool sorted, choosing the pool indices
+    `chosen` for the first segment leaves sum(chosen) - m(m-1)/2 inversions.
+    """
+    block = word[start:stop]
+    pool = sorted(block)
+    size = split - start
+    base = sum(a > b for i, a in enumerate(block) for b in block[i + 1:]) + size * (size - 1) // 2
+    head, tail = word[:start], word[stop:]
+    for chosen in combinations(range(len(pool)), size):
+        left = tuple(pool[i] for i in chosen)
+        right = tuple(v for v in pool if v not in left)
+        yield head + left + right + tail, base - sum(chosen)
 
 
 def garnir_relation_terms(t: Tableau, row: int, col: int,
@@ -161,31 +195,25 @@ def garnir_relation_terms(t: Tableau, row: int, col: int,
     if t.rows[row][col] <= t.rows[row][col + 1]:
         raise ValueError(f"no descent at row {row}, column {col} of {t}")
     heights = t.shape.column_heights()
-    left_cells = [(r, col) for r in range(row, heights[col])]
-    right_cells = [(r, col + 1) for r in range(0, row + 1)]
-    pool = sorted(t.rows[r][c] for r, c in left_cells + right_cells)
-    base_length = tableau_distance(t)
-    out: dict[Tableau, object] = {}
-    for left_values in combinations(pool, len(left_cells)):
-        right_values = sorted(set(pool) - set(left_values))
-        grid = [list(r) for r in t.rows]
-        for (r, c), v in zip(left_cells, left_values):
-            grid[r][c] = v
-        for (r, c), v in zip(right_cells, right_values):
-            grid[r][c] = v
-        candidate = Tableau(tuple(tuple(r) for r in grid))
-        out[candidate] = domain.neg_q_power(base_length - tableau_distance(candidate))
-    return out
+    starts = _column_starts(heights)
+    return {_tableau_of_word(word, heights): domain.neg_q_power(exponent)
+            for word, exponent in _garnir_block(t.column_word(), starts[col] + row,
+                                                starts[col + 1], starts[col + 1] + row + 1)}
 
 
 class SpechtModule:
     """S^shape over one scalar domain: basis, straightening, the action, matrices.
 
     `basis` lists the standard tableaux in basis order and `index` inverts
-    it; both are built on first use.  `memo` maps every tableau straightened
-    so far to its standard-basis expansion ((tableau, coefficient), ...).
-    `policy` picks the row descent each Garnir step removes; the expansions
-    do not depend on it.  Terms are dicts from tableaux to nonzero scalars.
+    it; both are built on first use.  Terms are dicts from basis positions
+    to nonzero scalars, and an expansion is a tuple of (position,
+    coefficient) pairs.  Inside, a tableau is its column word.  A standard
+    word is read off the basis, a word with an unsorted column is sorted at
+    the cost of a sign, and `memo` maps each column-sorted non-standard
+    word straightened so far to its expansion.  `image(i, j)`, the
+    expansion of h_i on basis vector j, is computed once and kept in the
+    action table, which every action and matrix reads.  `policy` picks the
+    row descent each Garnir step removes; the expansions do not depend on it.
     """
 
     def __init__(self, shape: Partition, domain: ScalarDomain, policy: str = TOPMOST):
@@ -193,10 +221,19 @@ class SpechtModule:
         self.domain = domain
         if policy not in _DESCENT:
             raise ValueError(f"unknown policy {policy!r}; use {TOPMOST!r} or {BOTTOMMOST!r}")
-        self.memo: dict[Tableau, tuple] = {}
-        self._descent = _DESCENT[policy]
+        self.memo: dict[tuple[int, ...], tuple] = {}
+        self._images: dict[tuple[int, int], tuple] = {}
+        starts = _column_starts(shape.column_heights())
+        self._columns = [(a, b) for a, b in zip(starts, starts[1:]) if b - a > 1]
+        # (left cell, start of the next column, right cell) in the column word
+        # for each pair of row neighbours, in the order the policy tries them
+        neighbours = [(starts[c] + r, starts[c + 1], starts[c + 1] + r)
+                      for r, part in enumerate(shape.parts) for c in range(part - 1)]
+        self._neighbours = neighbours[::_DESCENT[policy]]
         self._zero, self._one, self._q = domain.zero(), domain.one(), domain.q()
         self._q_minus_1 = self._q - self._one
+        # -(-q)^e, the scale of a Garnir candidate e inversions shorter
+        self._garnir_scales: dict[int, object] = {}
 
     @cached_property
     def basis(self) -> tuple[Tableau, ...]:
@@ -206,30 +243,44 @@ class SpechtModule:
     def index(self) -> dict[Tableau, int]:
         return {t: i for i, t in enumerate(self.basis)}
 
-    def straighten_tableau(self, t: Tableau) -> tuple:
-        """Standard-basis expansion of v_t as ((tableau, coefficient), ...)."""
-        cached = self.memo.get(t)
-        if cached is not None:
-            return cached
-        if t.is_standard():
-            result = ((t, self._one),)
-        else:
-            sign, sorted_t = _column_sorted(t)
-            if sorted_t != t:
-                inner = self.straighten_tableau(sorted_t)
-                result = inner if sign == 1 else tuple((u, -c) for u, c in inner)
-            else:
-                r, c = _row_descents(t)[self._descent]
-                acc: dict[Tableau, object] = {}
-                for candidate, coeff in garnir_relation_terms(t, r, c, self.domain).items():
-                    if candidate != t:
-                        self._fold(self.straighten_tableau(candidate), -coeff, acc)
-                result = tuple(acc.items())
-        self.memo[t] = result
-        return result
+    @cached_property
+    def _words(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(t.column_word() for t in self.basis)
 
-    def _fold(self, pairs: Iterable[tuple[Tableau, object]], scale, acc: dict):
-        """Add scale times the (tableau, coefficient) pairs into acc."""
+    @cached_property
+    def _position(self) -> dict[tuple[int, ...], int]:
+        return {word: i for i, word in enumerate(self._words)}
+
+    def _expansion(self, word: tuple[int, ...]) -> tuple[int, tuple]:
+        """(sign, expansion) with v_word = sign * the expansion."""
+        position = self._position.get(word)
+        if position is not None:
+            return 1, ((position, self._one),)
+        sign, word = _column_sorted(word, self._columns)
+        position = self._position.get(word)
+        if position is not None:
+            return sign, ((position, self._one),)
+        expansion = self.memo.get(word)
+        if expansion is None:
+            expansion = self.memo[word] = self._garnir(word)
+        return sign, expansion
+
+    def _garnir(self, word: tuple[int, ...]) -> tuple:
+        """Solve the Garnir relation of a column-sorted non-standard word for it."""
+        left, split, right = next(cells for cells in self._neighbours
+                                  if word[cells[0]] > word[cells[2]])
+        acc: dict[int, object] = {}
+        for candidate, exponent in _garnir_block(word, left, split, right + 1):
+            if candidate != word:
+                scale = self._garnir_scales.get(exponent)
+                if scale is None:
+                    scale = self._garnir_scales[exponent] = -self.domain.neg_q_power(exponent)
+                sign, expansion = self._expansion(candidate)
+                self._fold(expansion, scale if sign > 0 else -scale, acc)
+        return tuple(acc.items())
+
+    def _fold(self, pairs: Iterable[tuple[int, object]], scale, acc: dict):
+        """Add scale times the (position, coefficient) pairs into acc."""
         for t, c in pairs:
             value = acc.get(t, self._zero) + scale * c
             if value:
@@ -237,46 +288,78 @@ class SpechtModule:
             elif t in acc:
                 del acc[t]
 
-    def straighten(self, terms: Mapping[Tableau, object]) -> dict[Tableau, object]:
-        acc: dict[Tableau, object] = {}
+    def straighten_tableau(self, t: Tableau) -> tuple:
+        """Standard-basis expansion of v_t as ((position, coefficient), ...)."""
+        if tuple(len(row) for row in t.rows) != self.shape.parts:
+            raise ValueError(f"tableau {t} does not have shape {self.shape}")
+        sign, expansion = self._expansion(t.column_word())
+        return expansion if sign > 0 else tuple((u, -c) for u, c in expansion)
+
+    def straighten(self, terms: Mapping[Tableau, object]) -> dict[int, object]:
+        acc: dict[int, object] = {}
         for t, c in terms.items():
             self._fold(self.straighten_tableau(t), c, acc)
         return acc
 
-    def act_generator(self, i: int, terms: Mapping[Tableau, object]) -> dict[Tableau, object]:
+    def image(self, i: int, j: int) -> tuple:
+        """Expansion of h_i applied to basis vector j, from the action table.
+
+        With x the swap of i and i+1 in the tableau t: v_x if i precedes
+        i+1 in the column word of t, q v_x + (q-1) v_t otherwise.
+        """
+        pairs = self._images.get((i, j))
+        if pairs is None:
+            word = list(self._words[j])
+            a, b = word.index(i), word.index(i + 1)
+            word[a], word[b] = i + 1, i
+            sign, pairs = self._expansion(tuple(word))
+            if a > b:
+                acc: dict[int, object] = {}
+                self._fold(pairs, self._q if sign > 0 else -self._q, acc)
+                self._fold(((j, self._q_minus_1),), self._one, acc)
+                pairs = tuple(acc.items())
+            elif sign < 0:
+                pairs = tuple((u, -c) for u, c in pairs)
+            self._images[(i, j)] = pairs
+        return pairs
+
+    def act_generator(self, i: int, terms: Mapping[int, object]) -> dict[int, object]:
         """h_i applied to standard-basis terms."""
-        acc: dict[Tableau, object] = {}
-        for t, c in terms.items():
-            x = t.with_swapped(i, i + 1)
-            if precedes(i, i + 1, t):
-                self._fold(self.straighten_tableau(x), c, acc)
-            else:
-                self._fold(self.straighten_tableau(x), self._q * c, acc)
-                self._fold(self.straighten_tableau(t), self._q_minus_1 * c, acc)
+        acc: dict[int, object] = {}
+        for j, c in terms.items():
+            self._fold(self.image(i, j), c, acc)
         return acc
 
-    def act_word(self, word: Iterable[int], terms: Mapping[Tableau, object]) -> dict[Tableau, object]:
+    def act_word(self, word: Iterable[int], terms: Mapping[int, object]) -> dict[int, object]:
         """h_{i1} ... h_{ik} applied right to left."""
         terms = dict(terms)
         for i in reversed(tuple(word)):
             terms = self.act_generator(i, terms)
         return terms
 
-    def apply_element(self, element_terms, start: Mapping[Tableau, object]) -> dict[Tableau, object]:
+    def apply_element(self, element_terms, start: Mapping[int, object]) -> dict[int, object]:
         """A sum of (scalar, word) pairs applied to start."""
-        acc: dict[Tableau, object] = {}
+        acc: dict[int, object] = {}
         for coeff, word in element_terms:
             self._fold(self.act_word(word, start).items(), coeff, acc)
         return acc
 
+    def terms(self, coords) -> dict[int, object]:
+        """The nonzero coordinates of a coordinate tuple, by position."""
+        return {j: c for j, c in enumerate(coords) if c}
+
+    def coords(self, terms: Mapping[int, object]) -> tuple:
+        """The coordinate tuple of terms."""
+        coords = [self._zero] * len(self.basis)
+        for j, c in terms.items():
+            coords[j] = c
+        return tuple(coords)
+
     def matrix(self, act) -> Matrix:
         """Matrix of a linear action given on terms; column j is the image
-        of the j-th standard basis tableau."""
-        grid = [[self._zero] * len(self.basis) for _ in self.basis]
-        for j, t in enumerate(self.basis):
-            for u, c in act({t: self._one}).items():
-                grid[self.index[u]][j] = c
-        return Matrix(self.domain, grid)
+        of the j-th standard basis vector."""
+        return Matrix.from_columns(self.domain, len(self.basis),
+                                   [act({j: self._one}) for j in range(len(self.basis))])
 
     def check_equalities(self, equalities, starts) -> list[tuple[str, bool]]:
         """Check each (name, lhs, rhs) of (scalar, word) sums by applying both
@@ -303,7 +386,7 @@ def straighten(v: TableauVector, policy: str = TOPMOST) -> SpechtVector:
     """
     module = (specht_module(v.shape, v.domain) if policy == TOPMOST
               else SpechtModule(v.shape, v.domain, policy))
-    return SpechtVector.from_terms(v.shape, module.straighten(v.terms), v.domain)
+    return SpechtVector(v.shape, v.domain, module.coords(module.straighten(v.terms)))
 
 
 def _check_generator_index(i: int, n: int):
@@ -314,8 +397,9 @@ def _check_generator_index(i: int, n: int):
 def apply_generator(i: int, v: SpechtVector) -> SpechtVector:
     """The natural action of h_i, straightened back to the basis."""
     _check_generator_index(i, v.shape.n)
-    terms = specht_module(v.shape, v.domain).act_generator(i, v.terms())
-    return SpechtVector.from_terms(v.shape, terms, v.domain)
+    module = specht_module(v.shape, v.domain)
+    return SpechtVector(v.shape, v.domain,
+                        module.coords(module.act_generator(i, module.terms(v.coords))))
 
 
 def apply_word(word: Iterable[int], v: SpechtVector) -> SpechtVector:
@@ -323,15 +407,17 @@ def apply_word(word: Iterable[int], v: SpechtVector) -> SpechtVector:
     word = tuple(word)
     for i in word:
         _check_generator_index(i, v.shape.n)
-    terms = specht_module(v.shape, v.domain).act_word(word, v.terms())
-    return SpechtVector.from_terms(v.shape, terms, v.domain)
+    module = specht_module(v.shape, v.domain)
+    return SpechtVector(v.shape, v.domain,
+                        module.coords(module.act_word(word, module.terms(v.coords))))
 
 
 def generator_matrix(shape: Partition, i: int, domain: ScalarDomain = GENERIC) -> Matrix:
     """Matrix of h_i in the standard basis; columns are basis images."""
     _check_generator_index(i, shape.n)
     module = specht_module(shape, domain)
-    return module.matrix(lambda terms: module.act_generator(i, terms))
+    dim = len(module.basis)
+    return Matrix.from_columns(domain, dim, [dict(module.image(i, j)) for j in range(dim)])
 
 
 def character_trace(shape: Partition, word: Iterable[int],
@@ -342,10 +428,10 @@ def character_trace(shape: Partition, word: Iterable[int],
         _check_generator_index(i, shape.n)
     module = specht_module(shape, domain)
     acc = domain.zero()
-    for t in module.basis:
-        image = module.act_word(word, {t: domain.one()})
-        if t in image:
-            acc = acc + image[t]
+    for j in range(len(module.basis)):
+        image = module.act_word(word, {j: domain.one()})
+        if j in image:
+            acc = acc + image[j]
     return acc
 
 
@@ -469,9 +555,10 @@ def annihilator_checks(shape: Partition,
     """Each column/Garnir element applied to the superstandard vector."""
     named = [(f"column element {e}", e) for e in column_elements(shape)]
     named += [(f"garnir element a={e.anchor}", e) for e in garnir_elements(shape)]
-    return specht_module(shape, domain).check_equalities(
+    module = specht_module(shape, domain)
+    return module.check_equalities(
         [(name, e.terms(domain), ()) for name, e in named],
-        [{superstandard(shape): domain.one()}])
+        [{module.index[superstandard(shape)]: domain.one()}])
 
 
 def verify_annihilators(shape: Partition, domain: ScalarDomain = GENERIC) -> bool:
@@ -498,7 +585,7 @@ def defining_relation_checks(shape: Partition,
     """Quadratic, braid and commutation relations on every standard basis
     vector, which is column by column the exact matrix identity."""
     module = specht_module(shape, domain)
-    starts = [{t: domain.one()} for t in module.basis]
+    starts = [{j: domain.one()} for j in range(len(module.basis))]
     return module.check_equalities(_relations(shape.n, domain), starts)
 
 
@@ -511,5 +598,5 @@ def generator_relation_checks(shape: Partition,
     """
     relations = [(f"{name} (generator vector)", lhs, rhs)
                  for name, lhs, rhs in _relations(shape.n, domain)]
-    return specht_module(shape, domain).check_equalities(
-        relations, [{superstandard(shape): domain.one()}])
+    module = specht_module(shape, domain)
+    return module.check_equalities(relations, [{module.index[superstandard(shape)]: domain.one()}])

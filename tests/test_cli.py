@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,35 @@ def test_matrix_command(capsys):
     assert "domain: generic" in out
     assert "[-1, -q^2, 0, 0, q^4]" in out
     assert out.splitlines()[-1] == "[0, 0, 0, 0, q]"
+
+
+# sha256 of the stdout of `qspecht matrix --shape 4,3,2,1 --gen K [--p 3]`,
+# text and --json, recorded before generator matrices were stored sparsely
+GOLDEN_MATRIX_4321 = {
+    (None, 1): ("fa82b9394e54bd44f309bb3c4438d623d5aed68e20fe22c72afd31bed6e41d2e",
+                "ac52dd47969bad4ad66e398be36bad9418c455ecac754ad2bae578fd2749de2b"),
+    (None, 5): ("67c8186128840781f118dab9b6a9903223a9c113ae5fa36923d4eeb986d6e5b4",
+                "33e70fe2f80d80ed3e8ccdffba3f0580c8a53776cea7ca6a3dc32846fc54a126"),
+    (None, 9): ("17a099ba65d82818ee9e08018d5d7d65edd8c109e878ee063cca32d54386fe44",
+                "0892b797d5c2892cb0095bd940b4147762d4488d114050bda2e5e4e074b0af59"),
+    (3, 1): ("844d7a92576fa0562ef87570eeca35c4af09e1134968cdc0e97bdb48d8c5a548",
+             "a859ace569d76c9ac2154f1cc269d4169db622ff4514ce6b3f4b1a9317ffcfa9"),
+    (3, 5): ("9f88df712f85bcfb225cf3c376f514cc47d8d7189caa3108147a5601c19e26f1",
+             "60481d96cfc545a2eb176fb54c3fa788371617420481df90f3202d7213110bc6"),
+    (3, 9): ("e0add9985ba1063fddd571acff1fe734fe1c327083eda8b92af27fe95ae7f574",
+             "55710a7036be8af1867e1339419dfca0dbee6d809bc285eae05e0fe631dd6676"),
+}
+
+
+@pytest.mark.parametrize("p,gen", sorted(GOLDEN_MATRIX_4321, key=lambda k: (k[0] or 0, k[1])))
+def test_matrix_output_is_golden(capsys, p, gen):
+    argv = ["matrix", "--shape", "4,3,2,1", "--gen", str(gen)] + (["--p", str(p)] if p else [])
+    digests = []
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 0 and not err
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == GOLDEN_MATRIX_4321[(p, gen)]
 
 
 def test_matrix_single_row(capsys):

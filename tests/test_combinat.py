@@ -62,6 +62,21 @@ def test_basis_order_matches_generator_matrix_convention():
     assert listed == ["1,3,5/2,4", "1,2,5/3,4", "1,3,4/2,5", "1,2,4/3,5", "1,2,3/4,5"]
 
 
+def test_enumerate_standard_lists_every_standard_filling_in_basis_order():
+    def basis_key(t):  # row index of n, then of n-1, ...
+        row_of = {v: r for r, row in enumerate(t.rows) for v in row}
+        return tuple(row_of[v] for v in range(t.n, 0, -1))
+
+    for n in range(1, 7):
+        for parts in all_partitions(n):
+            fillings = []
+            for entries in itertools.permutations(range(1, n + 1)):
+                rows = tuple(entries[sum(parts[:r]):sum(parts[:r + 1])] for r in range(len(parts)))
+                if Tableau(rows).is_standard():
+                    fillings.append(Tableau(rows))
+            assert enumerate_standard(Partition(parts)) == tuple(sorted(fillings, key=basis_key))
+
+
 def test_superstandard():
     assert superstandard(Partition((6, 3, 3, 1))) == Tableau.parse("1,5,8,11,12,13/2,6,9/3,7,10/4")
     assert superstandard(Partition((3, 2))) == Tableau.parse("1,3,5/2,4")

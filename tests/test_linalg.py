@@ -169,3 +169,91 @@ def test_matrix_rejects_foreign_entries():
         Matrix(GENERIC, [[LaurentScalar(1), cyc(1)]])
     with pytest.raises(ValueError, match="is not in domain generic"):
         Matrix(GENERIC, [[LaurentScalar(1), 1]])
+
+
+# ------------------------------------------------ sparse storage vs dense rows
+
+def dense_product(a, b, zero):
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
+
+
+def dense_rank(grid):
+    rows, rank = [list(row) for row in grid], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][c].inverse()
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                factor = row[c] * inv
+                rows[i] = [x - factor * y for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def dense_grids(draw):
+    """(domain, a, a2, b, scalar): a and a2 are r x k, b is k x c, each with
+    some rows and columns set to zero; a2 is a copy of a half of the time."""
+    domain = draw(st.sampled_from([GENERIC, P3, root_of_unity(4)]))
+    r, k, c = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+
+    def entry():
+        a, e = draw(st.integers(-2, 2)), draw(st.integers(-2, 3))
+        return domain.from_int(a) * domain.q_power(e)
+
+    def grid(rows, cols):
+        g = [[entry() for _ in range(cols)] for _ in range(rows)]
+        for i in draw(st.sets(st.integers(0, rows - 1))):
+            g[i] = [domain.zero()] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1))):
+            for row in g:
+                row[j] = domain.zero()
+        return g
+
+    a = grid(r, k)
+    a2 = [list(row) for row in a] if draw(st.booleans()) else grid(r, k)
+    return domain, a, a2, grid(k, c), entry()
+
+
+@given(dense_grids())
+def test_sparse_matrix_agrees_with_dense_reference(grids):
+    domain, a, a2, b, scalar = grids
+    zero = domain.zero()
+    ma, ma2, mb = Matrix(domain, a), Matrix(domain, a2), Matrix(domain, b)
+    rows, cols = len(a), len(a[0])
+    assert (ma.rows, ma.cols) == (rows, cols)
+    assert ma.entries == tuple(tuple(row) for row in a)
+    for r in range(-rows, rows):
+        for c in range(-cols, cols):
+            assert ma[r, c] == a[r][c]
+    with pytest.raises(IndexError):
+        ma[rows, 0]
+    assert str(ma) == "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in a)
+    assert (ma == ma2) == (a == a2)
+    if a == a2:
+        assert hash(ma) == hash(ma2)
+    by_columns = Matrix.from_columns(domain, rows, [
+        {i: a[i][j] for i in range(rows)} for j in range(cols)])
+    assert by_columns == ma and hash(by_columns) == hash(ma)
+    assert (ma * mb).entries == tuple(tuple(row) for row in dense_product(a, b, zero))
+    assert (ma + ma2).entries == tuple(
+        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, a2))
+    assert ma.scale(scalar).entries == tuple(tuple(scalar * x for x in row) for row in a)
+    column = [row[0] for row in b]
+    assert ma.apply(column) == tuple(row[0] for row in dense_product(a, [[x] for x in column], zero))
+    if not domain.is_generic:
+        assert rank(ma) == dense_rank(a)
+
+
+def test_from_columns_validates():
+    with pytest.raises(ValueError, match="row index"):
+        Matrix.from_columns(P3, 2, [{2: cyc(1)}])
+    with pytest.raises(ValueError, match="is not in domain"):
+        Matrix.from_columns(P3, 2, [{0: LaurentScalar(1)}])
+    m = Matrix.from_columns(P3, 2, [{0: cyc(0), 1: cyc(2)}, {}])
+    assert m == Matrix(P3, [[cyc(0), cyc(0)], [cyc(2), cyc(0)]])
+    with pytest.raises(ValueError, match="cannot apply"):
+        m.apply((cyc(1),))

@@ -10,6 +10,7 @@ from qspecht.combinat import (
     enumerate_standard,
     reduced_word,
     superstandard,
+    tableau_distance,
 )
 from qspecht.linalg import Matrix, specialize_matrix
 from qspecht.scalar import GENERIC, LaurentScalar, root_of_unity
@@ -125,6 +126,32 @@ def random_filling(draw):
         rows.append(tuple(entries[start:start + part]))
         start += part
     return Tableau(tuple(rows))
+
+
+def row_descents(t):
+    return [(r, c) for r, row in enumerate(t.rows) for c in range(len(row) - 1)
+            if row[c] > row[c + 1]]
+
+
+@given(random_filling(), st.data())
+def test_internally_built_tableaux_are_valid(t, data):
+    # swaps, the basis and Garnir candidates skip validation: each must be a
+    # tableau that validation accepts, with rows stored as tuples
+    a, b = (data.draw(st.integers(min_value=1, max_value=t.n)) for _ in range(2))
+    built = [t.with_swapped(a, b), *enumerate_standard(t.shape)]
+    for r, c in row_descents(t):
+        relation = garnir_relation_terms(t, r, c, GENERIC)
+        built.extend(relation)
+        # the block inversion count gives the coefficient of the full words
+        for u, coeff in relation.items():
+            assert coeff == GENERIC.neg_q_power(tableau_distance(t) - tableau_distance(u))
+    for u in built:
+        assert u == Tableau(u.rows) and u.shape == t.shape
+
+
+def test_with_swapped_rejects_entries_outside_the_tableau():
+    with pytest.raises(ValueError, match="1..5"):
+        Tableau.parse("1,3,5/2,4").with_swapped(5, 6)
 
 
 @given(random_filling())
@@ -456,6 +483,54 @@ def test_registry_keeps_one_module():
         generator_matrix(shape, 1, GENERIC)
         verify_annihilators(shape, root_of_unity(3))
         assert specht_module.cache_info().currsize <= 1
+
+
+def tableau_of_word(word, shape):
+    """The tableau of the shape whose column reading word is word (validated)."""
+    heights = shape.column_heights()
+    columns, start = [], 0
+    for height in heights:
+        columns.append(word[start:start + height])
+        start += height
+    return Tableau(tuple(tuple(col[r] for col in columns if len(col) > r)
+                         for r in range(heights[0])))
+
+
+@pytest.mark.parametrize("parts", [(3, 2, 1), (4, 2, 1), (3, 3, 2), (2, 2, 2, 1)])
+def test_memo_keys_are_column_sorted_and_nonstandard(parts):
+    shape = Partition(parts)
+    module = SpechtModule(shape, GENERIC)
+    for i in range(1, shape.n):
+        for j in range(len(module.basis)):
+            module.image(i, j)
+    rng = random.Random(5)
+    for _ in range(20):
+        entries = rng.sample(range(1, shape.n + 1), shape.n)
+        rows = [entries[sum(parts[:r]):sum(parts[:r + 1])] for r in range(len(parts))]
+        module.straighten({Tableau(tuple(map(tuple, rows))): GENERIC.one()})
+    assert module.memo
+    for word in module.memo:
+        t = tableau_of_word(word, shape)
+        assert not t.is_standard(), t
+        assert all(list(t.column(c)) == sorted(t.column(c)) for c in range(parts[0])), t
+
+
+@pytest.mark.parametrize("p", [None, 3, 4], ids=["generic", "p3", "p4"])
+def test_generator_matrix_columns_are_generator_images(p):
+    # the matrix reads the action table; the columns come from apply_generator
+    # in a fresh module, on the basis vectors in reverse order, so the memo
+    # fills in another order
+    domain = GENERIC if p is None else root_of_unity(p)
+    for n in range(2, 7):
+        for parts in all_partitions(n):
+            shape = Partition(parts)
+            basis = enumerate_standard(shape)
+            for i in range(1, n):
+                matrix = generator_matrix(shape, i, domain)
+                specht_module.cache_clear()
+                columns = [apply_generator(i, SpechtVector.basis_vector(t, domain)).coords
+                           for t in reversed(basis)][::-1]
+                assert matrix.entries == tuple(zip(*columns)), (parts, i)
 
 
 def test_bottommost_straighten_leaves_registry_memo_alone():
