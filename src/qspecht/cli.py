@@ -61,7 +61,7 @@ def cmd_matrix(args) -> dict:
         "generator": args.gen,
         "rows": matrix.rows,
         "cols": matrix.cols,
-        "matrix": [[str(x) for x in row] for row in matrix.entries],
+        "matrix": matrix.string_grid(),
     }
 
 

@@ -2,10 +2,11 @@
 
 `Matrix` stores only its nonzero entries, and its products work over both
 domains.  Kernels, ranks and subspace closures need a field (a
-root-of-unity domain; specialize generic matrices first).  Kernels and
-closures act through linear maps on coordinate tuples, so nothing that is
-only applied to vectors becomes a matrix.  All of them share one
-incremental RREF routine; kernel bases are echelon-normalized.
+root-of-unity domain; specialize generic matrices first).  Vectors are
+sparse dicts {index: scalar} with no stored zeros, and kernels and closures
+act through linear maps on them, so nothing that is only applied to vectors
+becomes a matrix.  All share one incremental sparse RREF routine; kernel
+bases are echelon-normalized.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class Matrix:
     @classmethod
     def zero(cls, domain: ScalarDomain, rows: int, cols: int) -> "Matrix":
         return cls.from_columns(domain, rows, [{} for _ in range(cols)])
-
-    @classmethod
-    def column(cls, domain: ScalarDomain, coords) -> "Matrix":
-        return cls(domain, tuple((x,) for x in coords))
 
     @property
     def rows(self) -> int:
@@ -124,21 +121,15 @@ class Matrix:
         return Matrix.from_columns(self.domain, self._rows, [
             {r: scalar * x for r, x in column.items()} for column in self._columns])
 
-    def _times(self, v: dict) -> dict:
+    def apply(self, v: dict) -> dict:
         """self times the sparse column v ({index: entry}), as {row: entry}."""
         acc: dict = {}
         for k, b in v.items():
+            if not 0 <= k < self.cols:
+                raise ValueError(f"cannot apply a {self.rows}x{self.cols} matrix to index {k}")
             for r, a in self._columns[k].items():
                 acc[r] = acc[r] + a * b if r in acc else a * b
         return {r: x for r, x in acc.items() if x}
-
-    def apply(self, coords) -> tuple:
-        """self times a coordinate tuple, over the stored columns only."""
-        if len(coords) != self.cols:
-            raise ValueError(f"cannot apply a {self.rows}x{self.cols} matrix "
-                             f"to {len(coords)} coordinates")
-        image, zero = self._times({k: x for k, x in enumerate(coords) if x}), self.domain.zero()
-        return tuple(image.get(r, zero) for r in range(self._rows))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -147,15 +138,19 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return Matrix.from_columns(self.domain, self._rows,
-                                   [self._times(column) for column in other._columns])
+                                   [self.apply(column) for column in other._columns])
 
-    def __str__(self):
+    def string_grid(self) -> list[list[str]]:
+        """The entries as strings, row by row; zero is rendered once."""
         zero = str(self.domain.zero())
         grid = [[zero] * self.cols for _ in range(self._rows)]
         for c, column in enumerate(self._columns):
             for r, x in column.items():
                 grid[r][c] = str(x)
-        return "\n".join("[" + ", ".join(row) + "]" for row in grid)
+        return grid
+
+    def __str__(self):
+        return "\n".join("[" + ", ".join(row) + "]" for row in self.string_grid())
 
     def __repr__(self):
         return (f"Matrix({self.domain}, {self.rows}x{self.cols}, "
@@ -176,76 +171,86 @@ def _require_field(domain: ScalarDomain):
                          "specialize at a root of unity first")
 
 
-class _Echelon:
-    """Reduced row echelon form of the span of the vectors added so far.
+def _subtract(acc: dict, factor, row: dict):
+    """acc -= factor * row in place, dropping the entries that cancel."""
+    factor = -factor  # negated once, so each entry costs one product and one sum
+    for c, x in row.items():
+        y = acc[c] + factor * x if c in acc else factor * x
+        if y:
+            acc[c] = y
+        else:
+            del acc[c]
 
-    Rows are keyed by pivot column; each has 1 at its pivot and 0 at every
-    other row's pivot, so the rows sorted by pivot are the unique RREF of
-    the span, whatever order the vectors came in.
+
+class _Echelon:
+    """Reduced row echelon form of the span of the sparse vectors added so far.
+
+    Rows are dicts keyed by pivot column, their smallest key; each has 1 at
+    its pivot and no entry at any other row's pivot, so the rows sorted by
+    pivot are the unique RREF of the span, whatever order the vectors came in.
     """
 
     def __init__(self):
-        self.rows: dict[int, list] = {}
+        self.rows: dict[int, dict] = {}
 
-    def add(self, coords) -> bool:
+    def add(self, v: dict) -> bool:
         """Reduce the vector into the echelon; True if it was independent."""
-        coords = list(coords)
-        for pivot, row in self.rows.items():
-            factor = coords[pivot]
-            if factor:
-                coords = [a - factor * b if b else a for a, b in zip(coords, row)]
-        lead = next((c for c, x in enumerate(coords) if x), None)
-        if lead is None:
+        v = {c: x for c, x in v.items() if x}
+        # a reduction adds no entry at another row's pivot: clear only the pivots v holds
+        for pivot in [c for c in v if c in self.rows]:
+            _subtract(v, v[pivot], self.rows[pivot])
+        if not v:
             return False
-        inv = coords[lead].inverse()
-        coords = [inv * x if x else x for x in coords]
-        for pivot, row in self.rows.items():
-            factor = row[lead]
-            if factor:
-                self.rows[pivot] = [a - factor * b if b else a for a, b in zip(row, coords)]
-        self.rows[lead] = coords
+        lead = min(v)
+        inv = v[lead].inverse()
+        v = {c: inv * x for c, x in v.items()}
+        for row in self.rows.values():
+            if lead in row:
+                _subtract(row, row[lead], v)
+        self.rows[lead] = v
         return True
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over a field domain."""
+    """Exact rank over a field domain, as the rank of the stored columns."""
     _require_field(m.domain)
     echelon = _Echelon()
-    return sum(echelon.add(row) for row in m.entries)
+    return sum(echelon.add(column) for column in m._columns)
 
 
-def joint_kernel(domain: ScalarDomain, dim: int, maps) -> tuple[tuple, ...]:
+def joint_kernel(domain: ScalarDomain, dim: int, maps) -> tuple[dict, ...]:
     """Echelon-normalized basis of the vectors that every map sends to zero.
 
-    Maps are linear callables on coordinate tuples of length dim.  Each is
-    applied to the current basis only: in the RREF of the pairs (A v,
-    v reversed), the rows with no pivot in the image part are killed by A,
-    and read right to left they are the next basis.  That RREF with its
-    columns reversed is the echelon-normalized kernel (a 1 in one free
+    Maps are linear, from sparse vectors over 0..dim-1 to sparse vectors,
+    and each is applied to the current basis only.  The pair (A v, v
+    reversed) puts image key k in column -1-k and coordinate k in column
+    dim-1-k; the RREF rows with a pivot >= 0 are killed by A, and read
+    right to left they are the echelon-normalized kernel (a 1 in one free
     coordinate, 0 in the others), so the order of the maps does not matter.
     """
     _require_field(domain)
-    one, zero = domain.one(), domain.zero()
-    span = [tuple(one if i == j else zero for i in range(dim)) for j in range(dim)]
+    one = domain.one()
+    span = [{j: one} for j in range(dim)]
     for apply in maps:
-        echelon, width = _Echelon(), 0
+        echelon = _Echelon()
         for v in span:
-            image = tuple(apply(v))
-            width = len(image)
-            echelon.add(image + v[::-1])
-        span = [tuple(reversed(row[width:]))
-                for pivot, row in sorted(echelon.rows.items(), reverse=True) if pivot >= width]
+            pair = {-1 - k: x for k, x in apply(v).items()}
+            pair.update((dim - 1 - k, x) for k, x in v.items())
+            echelon.add(pair)
+        span = [{dim - 1 - c: x for c, x in row.items()}
+                for pivot, row in sorted(echelon.rows.items(), reverse=True) if pivot >= 0]
     return tuple(span)
 
 
 def kernel(m: Matrix) -> tuple[Matrix, ...]:
     """Echelon-normalized basis of the right null space, as column vectors."""
-    return tuple(Matrix.column(m.domain, v) for v in joint_kernel(m.domain, m.cols, [m.apply]))
+    return tuple(Matrix.from_columns(m.domain, m.cols, [v])
+                 for v in joint_kernel(m.domain, m.cols, [m.apply]))
 
 
 def closure_dimension(domain: ScalarDomain, vectors, maps) -> int:
-    """Dimension of the smallest subspace that contains the coordinate
-    vectors and is mapped into itself by every map."""
+    """Dimension of the smallest subspace that contains the sparse vectors
+    and is mapped into itself by every map."""
     _require_field(domain)
     echelon = _Echelon()
     queue = [v for v in vectors if echelon.add(v)]

@@ -195,12 +195,6 @@ def enumerate_p_root_standard(shape: Partition, p: int) -> tuple[Tableau, ...]:
     return tuple(t for t in enumerate_standard(shape) if is_p_root_standard(t, p))
 
 
-def _on_coords(module, act):
-    """A linear action on the module's position-keyed terms, as a map on
-    coordinate tuples."""
-    return lambda coords: module.coords(act(module.terms(coords)))
-
-
 def find_submodule_generators(lam: Partition, mu: Partition, p: int) -> tuple[SpechtVector, ...]:
     """Exact basis of the joint kernel in S^lam of all annihilators of mu.
 
@@ -217,19 +211,19 @@ def find_submodule_generators(lam: Partition, mu: Partition, p: int) -> tuple[Sp
     domain = root_of_unity(p)
     module = specht_module(lam, domain)
     elements = list(column_elements(mu)) + list(garnir_elements(mu))
-    maps = [_on_coords(module, partial(module.apply_element, e.terms(domain))) for e in elements]
-    return tuple(SpechtVector(lam, domain, coords)
-                 for coords in joint_kernel(domain, hook_count(lam), maps))
+    maps = [partial(module.apply_element, e.terms(domain)) for e in elements]
+    return tuple(SpechtVector(lam, domain, module.coords(terms))
+                 for terms in joint_kernel(domain, hook_count(lam), maps))
 
 
 def submodule_dimension(lam: Partition, generators, p: int) -> int:
     """Dimension of the smallest generator-closed subspace containing them."""
     domain = root_of_unity(p)
+    module = specht_module(lam, domain)
     vectors = []
     for v in generators:
         if v.shape != lam or v.domain != domain:
             raise ValueError("generator does not live in the requested module")
-        vectors.append(v.coords)
-    module = specht_module(lam, domain)
-    maps = [_on_coords(module, partial(module.act_generator, i)) for i in range(1, lam.n)]
+        vectors.append(module.terms(v.coords))
+    maps = [partial(module.act_generator, i) for i in range(1, lam.n)]
     return closure_dimension(domain, vectors, maps)

@@ -98,21 +98,77 @@ def row_maps(m, cuts):
     """The rows of m split at the cut points, each block as a map on vectors."""
     bounds = [0, *sorted(cuts), m.rows]
     blocks = [Matrix(m.domain, m.entries[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return [lambda v, b=b: (b * Matrix.column(m.domain, v)).column_coords()
-            for b in blocks if b.rows]
+    return [b.apply for b in blocks if b.rows]
+
+
+def shift(v):
+    """The cyclic shift e_k -> e_(k+1 mod 3) on sparse vectors."""
+    return {(k + 1) % 3: x for k, x in v.items()}
 
 
 @st.composite
 def cyc_matrices(draw):
-    p = draw(st.sampled_from([3, 4]))
-    rows = draw(st.integers(min_value=1, max_value=6))
-    cols = draw(st.integers(min_value=1, max_value=5))
+    p = draw(st.sampled_from([3, 4, 5]))
+    rows = draw(st.integers(min_value=0, max_value=6))
+    cols = draw(st.integers(min_value=0, max_value=5))
     domain = root_of_unity(p)
     entries = draw(st.lists(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2)),
                                      min_size=cols, max_size=cols),
                             min_size=rows, max_size=rows))
-    return Matrix(domain, [[domain.from_int(a) * domain.q_power(e) for a, e in row]
-                           for row in entries])
+    return Matrix.from_columns(domain, rows, [
+        {r: domain.from_int(row[c][0]) * domain.q_power(row[c][1]) for r, row in enumerate(entries)}
+        for c in range(cols)])
+
+
+def dense_rref(grid, cols):
+    """Plain Gauss-Jordan elimination of a dense grid with cols columns:
+    (the nonzero rows of its RREF, their pivot columns)."""
+    rows, pivots = [list(row) for row in grid], []
+    for c in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * x for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                factor = row[c]
+                rows[i] = [x - factor * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def dense_rank(grid):
+    return len(dense_rref(grid, len(grid[0]) if grid else 0)[1])
+
+
+def dense_kernel(domain, grid, cols):
+    """The echelon-normalized kernel: for each free column f in increasing
+    order, 1 at f, 0 at the other free columns and -R[i][f] at pivot i."""
+    reduced, pivots = dense_rref(grid, cols)
+    basis = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [domain.zero()] * cols
+            v[f] = domain.one()
+            for row, c in zip(reduced, pivots):
+                v[c] = -row[f]
+            basis.append(tuple(v))
+    return tuple(basis)
+
+
+def check_against_dense_reference(m, maps):
+    """kernel, rank and the joint kernel of maps (which must cut out the
+    kernel of m) equal plain dense Gauss-Jordan elimination exactly."""
+    expected = dense_kernel(m.domain, m.entries, m.cols)
+    assert tuple(v.column_coords() for v in kernel(m)) == expected
+    assert rank(m) == dense_rank(m.entries) == m.cols - len(expected)
+    joint = joint_kernel(m.domain, m.cols, maps)
+    assert all(all(v.values()) for v in joint)
+    zero = m.domain.zero()
+    assert tuple(tuple(v.get(k, zero) for k in range(m.cols)) for v in joint) == expected
 
 
 @given(cyc_matrices(), st.lists(st.integers(min_value=0, max_value=6), max_size=4),
@@ -120,30 +176,45 @@ def cyc_matrices(draw):
 def test_joint_kernel_of_split_rows_is_kernel(m, cuts, rng):
     maps = row_maps(m, [min(c, m.rows) for c in cuts])
     rng.shuffle(maps)
-    expected = tuple(v.column_coords() for v in kernel(m))
-    assert joint_kernel(m.domain, m.cols, maps) == expected
+    check_against_dense_reference(m, maps)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (3, 4)])
+def test_empty_and_zero_matrices_match_dense_reference(p, rows, cols):
+    m = Matrix.zero(root_of_unity(p), rows, cols)
+    check_against_dense_reference(m, row_maps(m, [1]))
 
 
 def test_joint_kernel_without_maps_is_the_identity_basis():
-    assert joint_kernel(P3, 2, []) == ((cyc(1), cyc(0)), (cyc(0), cyc(1)))
+    assert joint_kernel(P3, 2, []) == ({0: cyc(1)}, {1: cyc(1)})
     assert joint_kernel(P3, 0, []) == ()
 
 
 def test_kernel_routines_require_field():
-    one, zero = GENERIC.one(), GENERIC.zero()
+    one = GENERIC.one()
     with pytest.raises(ValueError, match="field domain"):
         joint_kernel(GENERIC, 2, [lambda v: v])
     with pytest.raises(ValueError, match="field domain"):
-        closure_dimension(GENERIC, [(one, zero)], [lambda v: v[::-1]])
+        closure_dimension(GENERIC, [{0: one}], [lambda v: {1 - k: x for k, x in v.items()}])
+    with pytest.raises(ValueError, match="field domain"):
+        closure_dimension(GENERIC, [], [])
 
 
 def test_closure_dimension_of_a_cycle():
     # the cyclic shift spins e_0 up to the whole space, and fixes e_0 + e_1 + e_2
-    shift = lambda v: v[-1:] + v[:-1]  # noqa: E731
-    e0 = (cyc(1), cyc(0), cyc(0))
-    assert closure_dimension(P3, [e0], [shift]) == 3
-    assert closure_dimension(P3, [(cyc(1),) * 3], [shift]) == 1
+    assert closure_dimension(P3, [{0: cyc(1)}], [shift]) == 3
+    assert closure_dimension(P3, [{k: cyc(1) for k in range(3)}], [shift]) == 1
     assert closure_dimension(P3, [], [shift]) == 0
+
+
+def test_explicit_zeros_in_maps_and_vectors():
+    # the projection onto e_0 writes its zeros out, also at a pivot column
+    zero, one = cyc(0), cyc(1)
+    project = lambda v: {0: v.get(0, zero), 1: zero}  # noqa: E731
+    assert joint_kernel(P3, 2, [project]) == ({1: one},)
+    assert closure_dimension(P3, [{0: one, 1: zero, 2: zero}], [shift]) == 3
+    assert closure_dimension(P3, [{0: zero}], [shift]) == 0
 
 
 def test_kernel_is_echelon_normalized():
@@ -175,22 +246,6 @@ def test_matrix_rejects_foreign_entries():
 
 def dense_product(a, b, zero):
     return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
-
-
-def dense_rank(grid):
-    rows, rank = [list(row) for row in grid], 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][c].inverse()
-        for i, row in enumerate(rows):
-            if i != rank and row[c]:
-                factor = row[c] * inv
-                rows[i] = [x - factor * y for x, y in zip(row, rows[rank])]
-        rank += 1
-    return rank
 
 
 @st.composite
@@ -243,7 +298,9 @@ def test_sparse_matrix_agrees_with_dense_reference(grids):
         tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, a2))
     assert ma.scale(scalar).entries == tuple(tuple(scalar * x for x in row) for row in a)
     column = [row[0] for row in b]
-    assert ma.apply(column) == tuple(row[0] for row in dense_product(a, [[x] for x in column], zero))
+    product = dense_product(a, [[x] for x in column], zero)
+    expected = {r: row[0] for r, row in enumerate(product) if row[0]}
+    assert ma.apply(dict(enumerate(column))) == expected
     if not domain.is_generic:
         assert rank(ma) == dense_rank(a)
 
@@ -255,5 +312,6 @@ def test_from_columns_validates():
         Matrix.from_columns(P3, 2, [{0: LaurentScalar(1)}])
     m = Matrix.from_columns(P3, 2, [{0: cyc(0), 1: cyc(2)}, {}])
     assert m == Matrix(P3, [[cyc(0), cyc(0)], [cyc(2), cyc(0)]])
-    with pytest.raises(ValueError, match="cannot apply"):
-        m.apply((cyc(1),))
+    for index in (2, -1):
+        with pytest.raises(ValueError, match="cannot apply"):
+            m.apply({index: cyc(1)})
