@@ -6,12 +6,13 @@ root-of-unity domain; specialize generic matrices first).  Vectors are
 sparse dicts {index: scalar} with no stored zeros, and kernels and closures
 act through linear maps on them, so nothing that is only applied to vectors
 becomes a matrix.  All share one incremental sparse RREF routine; kernel
-bases are echelon-normalized.
+bases are echelon-normalized.  Every sparse sum, in products and in the
+echelon, goes through `scalar.fold`.
 """
 
 from __future__ import annotations
 
-from .scalar import ScalarDomain, specialize, root_of_unity
+from .scalar import ScalarDomain, fold, specialize, root_of_unity
 
 
 class Matrix:
@@ -106,12 +107,9 @@ class Matrix:
         self._check_domain(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shapes differ")
-        columns = []
-        for a, b in zip(self._columns, other._columns):
-            column = dict(a)
-            for r, x in b.items():
-                column[r] = column[r] + x if r in column else x
-            columns.append(column)
+        one, columns = self.domain.one(), [dict(a) for a in self._columns]
+        for column, b in zip(columns, other._columns):
+            fold(column, b.items(), one)
         return Matrix.from_columns(self.domain, self._rows, columns)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -127,9 +125,8 @@ class Matrix:
         for k, b in v.items():
             if not 0 <= k < self.cols:
                 raise ValueError(f"cannot apply a {self.rows}x{self.cols} matrix to index {k}")
-            for r, a in self._columns[k].items():
-                acc[r] = acc[r] + a * b if r in acc else a * b
-        return {r: x for r, x in acc.items() if x}
+            fold(acc, self._columns[k].items(), b)
+        return acc
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -171,17 +168,6 @@ def _require_field(domain: ScalarDomain):
                          "specialize at a root of unity first")
 
 
-def _subtract(acc: dict, factor, row: dict):
-    """acc -= factor * row in place, dropping the entries that cancel."""
-    factor = -factor  # negated once, so each entry costs one product and one sum
-    for c, x in row.items():
-        y = acc[c] + factor * x if c in acc else factor * x
-        if y:
-            acc[c] = y
-        else:
-            del acc[c]
-
-
 class _Echelon:
     """Reduced row echelon form of the span of the sparse vectors added so far.
 
@@ -198,7 +184,7 @@ class _Echelon:
         v = {c: x for c, x in v.items() if x}
         # a reduction adds no entry at another row's pivot: clear only the pivots v holds
         for pivot in [c for c in v if c in self.rows]:
-            _subtract(v, v[pivot], self.rows[pivot])
+            fold(v, self.rows[pivot].items(), -v[pivot])
         if not v:
             return False
         lead = min(v)
@@ -206,16 +192,18 @@ class _Echelon:
         v = {c: inv * x for c, x in v.items()}
         for row in self.rows.values():
             if lead in row:
-                _subtract(row, row[lead], v)
+                fold(row, v.items(), -row[lead])
         self.rows[lead] = v
         return True
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over a field domain, as the rank of the stored columns."""
+    """Exact rank over a field domain, reduced along the shorter side: the
+    stored columns, or the rows of a tall matrix as dicts over the columns."""
     _require_field(m.domain)
+    vectors = [dict(enumerate(row)) for row in m.entries] if m.rows > m.cols else m._columns
     echelon = _Echelon()
-    return sum(echelon.add(column) for column in m._columns)
+    return sum(echelon.add(v) for v in vectors)
 
 
 def joint_kernel(domain: ScalarDomain, dim: int, maps) -> tuple[dict, ...]:

@@ -15,7 +15,9 @@ Two ground domains are supported:
 Coefficients must be ints (or, for residues, Fractions); anything else,
 a float included, raises TypeError.  Scalars are immutable canonical
 values: no zero coefficients are stored, cyclotomic residues are fully
-reduced, equality is decidable and hashing is safe.  The string grammar
+reduced, equality is decidable and hashing is safe.  `fold` is the one
+multiply-accumulate of the package: every sparse sum of scaled vectors, in
+the action engine and in the echelon, goes through it.  The string grammar
 renders terms in increasing exponent order ("-1 + q^2 - q^3", exponent 0
 as a bare integer, exponent 1 as "q") and `parse` accepts the same grammar.
 """
@@ -152,14 +154,19 @@ class LaurentScalar:
             return other
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _sum(self, other, sign: int):
+        """self + sign * other, coefficient by coefficient."""
+        if type(other) is not LaurentScalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
+            out[e] = out.get(e, 0) + sign * c
         return LaurentScalar(out, True)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -167,21 +174,29 @@ class LaurentScalar:
         return LaurentScalar({e: -c for e, c in self._terms.items()}, True)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        return NotImplemented if other is None else other._sum(self, -1)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not LaurentScalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._terms, other._terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial shifts and scales b; as Z has no zero divisors, no zero appears
+            ((e, c),) = a.items()
+            out = object.__new__(LaurentScalar)
+            out._terms = {e + f: c * d for f, d in b.items()}
+            return out
         out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentScalar(out, True)
@@ -203,7 +218,7 @@ class LaurentScalar:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = LaurentScalar(other)
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, LaurentScalar):
             return NotImplemented
         return self._terms == other._terms
@@ -321,7 +336,11 @@ class CyclotomicScalar:
             cs, den = coeffs, _den
         else:
             cs, den = _numerators(coeffs)
-        _poly_divmod(cs, _cyclotomic_coeffs(p))  # reduce modulo Phi_p in place
+        phi = _cyclotomic_coeffs(p)
+        if len(cs) >= len(phi):
+            _poly_divmod(cs, phi)  # reduce modulo Phi_p in place
+        while cs and not cs[-1]:
+            cs.pop()
         if den != 1:
             g = gcd(den, *cs)  # den itself when cs is empty, so zero gets den 1
             if g != 1:
@@ -378,7 +397,8 @@ class CyclotomicScalar:
             raise ValueError(f"mixed root-of-unity orders {self._p} and {other._p}")
         return other
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
+        """self + sign * other, coefficient by coefficient."""
         other = self._check(other)
         if other is None:
             return NotImplemented
@@ -387,12 +407,13 @@ class CyclotomicScalar:
             a = [c * other._den for c in a]
             b = [c * den for c in b]
             den *= other._den
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+        out = list(a) + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
-            out[i] += c
+            out[i] += sign * c
         return CyclotomicScalar(self._p, out, den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -400,13 +421,11 @@ class CyclotomicScalar:
         return CyclotomicScalar(self._p, [-c for c in self._coeffs], self._den)
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._check(other)
+        return NotImplemented if other is None else other._sum(self, -1)
 
     def __mul__(self, other):
         other = self._check(other)
@@ -442,7 +461,7 @@ class CyclotomicScalar:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = CyclotomicScalar.from_int(self._p, other)
+            return self._den == 1 and self._coeffs == ((other,) if other else ())
         if not isinstance(other, CyclotomicScalar):
             return NotImplemented
         return (self._p == other._p and self._den == other._den
@@ -475,6 +494,27 @@ def specialize(x: LaurentScalar, p: int) -> CyclotomicScalar:
     for e, c in x._terms.items():
         dense[e % p] += c
     return CyclotomicScalar(p, dense, 1)
+
+
+def fold(acc: dict, pairs, scale) -> None:
+    """acc += scale * pairs for an iterable of (key, scalar) pairs, in place;
+    no zero is stored.  A scale of one stores the scalars themselves (they are
+    immutable), a new key takes its term without a sum, and only sums can cancel.
+    """
+    if not scale:
+        return
+    unit = scale == 1
+    for k, x in pairs:
+        old = acc.get(k)
+        if old is None:
+            if x:
+                acc[k] = x if unit else scale * x
+        else:
+            total = old + (x if unit else scale * x)
+            if total:
+                acc[k] = total
+            else:
+                del acc[k]
 
 
 @dataclass(frozen=True)

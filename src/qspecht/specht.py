@@ -23,7 +23,8 @@ different Specht module is what the root-of-unity submodule search uses.
 `SpechtModule(shape, domain)` holds all per-shape data: the standard-tableau
 `basis` and its `index`, the memo of column-sorted non-standard tableaux,
 the action table of h_i on each basis vector, the action of (scalar, word)
-sums, and matrix building; vectors inside it are keyed by basis position.
+sums, and matrix building; vectors inside it are keyed by basis position,
+and every sum of scaled expansions is one `scalar.fold`.
 The public functions take their module from `specht_module`, which keeps the
 module of the most recent (shape, domain) only; `specht_module.cache_clear()`
 frees it.
@@ -46,7 +47,7 @@ from .combinat import (
     superstandard,
 )
 from .linalg import Matrix
-from .scalar import GENERIC, ScalarDomain
+from .scalar import GENERIC, ScalarDomain, fold
 
 TOPMOST = "topmost"
 BOTTOMMOST = "bottommost"
@@ -114,12 +115,11 @@ class TableauVector:
         self.shape = shape
         self.domain = domain
         self.terms: dict[Tableau, object] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for t, c in items:
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        for t, _ in items:
             if t.shape != shape:
                 raise ValueError(f"tableau {t} does not have shape {shape}")
-            if c:
-                self.terms[t] = self.terms.get(t, domain.zero()) + c
+        fold(self.terms, items, domain.one())
 
     @classmethod
     def single(cls, t: Tableau, domain: ScalarDomain) -> "TableauVector":
@@ -276,17 +276,8 @@ class SpechtModule:
                 if scale is None:
                     scale = self._garnir_scales[exponent] = -self.domain.neg_q_power(exponent)
                 sign, expansion = self._expansion(candidate)
-                self._fold(expansion, scale if sign > 0 else -scale, acc)
+                fold(acc, expansion, scale if sign > 0 else -scale)
         return tuple(acc.items())
-
-    def _fold(self, pairs: Iterable[tuple[int, object]], scale, acc: dict):
-        """Add scale times the (position, coefficient) pairs into acc."""
-        for t, c in pairs:
-            value = acc.get(t, self._zero) + scale * c
-            if value:
-                acc[t] = value
-            elif t in acc:
-                del acc[t]
 
     def straighten_tableau(self, t: Tableau) -> tuple:
         """Standard-basis expansion of v_t as ((position, coefficient), ...)."""
@@ -298,7 +289,7 @@ class SpechtModule:
     def straighten(self, terms: Mapping[Tableau, object]) -> dict[int, object]:
         acc: dict[int, object] = {}
         for t, c in terms.items():
-            self._fold(self.straighten_tableau(t), c, acc)
+            fold(acc, self.straighten_tableau(t), c)
         return acc
 
     def image(self, i: int, j: int) -> tuple:
@@ -315,8 +306,8 @@ class SpechtModule:
             sign, pairs = self._expansion(tuple(word))
             if a > b:
                 acc: dict[int, object] = {}
-                self._fold(pairs, self._q if sign > 0 else -self._q, acc)
-                self._fold(((j, self._q_minus_1),), self._one, acc)
+                fold(acc, pairs, self._q if sign > 0 else -self._q)
+                fold(acc, ((j, self._q_minus_1),), self._one)
                 pairs = tuple(acc.items())
             elif sign < 0:
                 pairs = tuple((u, -c) for u, c in pairs)
@@ -327,7 +318,7 @@ class SpechtModule:
         """h_i applied to standard-basis terms."""
         acc: dict[int, object] = {}
         for j, c in terms.items():
-            self._fold(self.image(i, j), c, acc)
+            fold(acc, self.image(i, j), c)
         return acc
 
     def act_word(self, word: Iterable[int], terms: Mapping[int, object]) -> dict[int, object]:
@@ -341,7 +332,7 @@ class SpechtModule:
         """A sum of (scalar, word) pairs applied to start."""
         acc: dict[int, object] = {}
         for coeff, word in element_terms:
-            self._fold(self.act_word(word, start).items(), coeff, acc)
+            fold(acc, self.act_word(word, start).items(), coeff)
         return acc
 
     def terms(self, coords) -> dict[int, object]:

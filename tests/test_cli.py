@@ -54,6 +54,24 @@ def test_matrix_output_is_golden(capsys, p, gen):
     assert tuple(digests) == GOLDEN_MATRIX_4321[(p, gen)]
 
 
+# sha256 of the stdout of `qspecht verify ...`, recorded before the action
+# engine and the echelon shared one multiply-accumulate (`scalar.fold`)
+GOLDEN_VERIFY = {
+    ("--shape", "5,3,2"): "85c66217408e2e7c87444b467e4f4f4157fcbba52c0f907b7770ccae58f668b8",
+    ("--shape", "5,3,2", "--json"):
+        "4b11012a689458d9a69081acd876e1318d82743d7dc40fa3f45141ddef9593e6",
+    ("--shape", "4,3,2,1", "--full", "--json"):
+        "c2285dc58e8373bd00599492d4ab9b051d1decb2877df54dacea496888b0481c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_VERIFY))
+def test_verify_output_is_golden(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[argv]
+
+
 def test_matrix_single_row(capsys):
     code, out, _ = run(capsys, "matrix", "--shape", "5", "--gen", "2")
     assert code == 0

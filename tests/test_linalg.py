@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -184,6 +186,27 @@ def test_joint_kernel_of_split_rows_is_kernel(m, cuts, rng):
 def test_empty_and_zero_matrices_match_dense_reference(p, rows, cols):
     m = Matrix.zero(root_of_unity(p), rows, cols)
     check_against_dense_reference(m, row_maps(m, [1]))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+@pytest.mark.parametrize("rows, cols, inner", [
+    (12, 4, 2), (12, 5, 5), (4, 12, 3), (5, 12, 5), (0, 5, 0), (5, 0, 0)])
+def test_rank_of_tall_and_wide_matrices_matches_dense_reference(p, rows, cols, inner):
+    """A tall matrix reduces its rows, a wide one its columns; the product of
+    a rows x inner and an inner x cols grid has rank at most inner."""
+    domain, rng = root_of_unity(p), random.Random(f"{p} {rows} {cols}")
+
+    def grid(r, c):
+        return [[domain.from_int(rng.randint(-2, 2)) * domain.q_power(rng.randint(0, p - 1))
+                 for _ in range(c)] for _ in range(r)]
+
+    a, b = grid(rows, inner), grid(inner, cols)
+    product = [[sum((x * b[k][c] for k, x in enumerate(row)), domain.zero())
+                for c in range(cols)] for row in a]
+    m = Matrix.from_columns(domain, rows, [{r: row[c] for r, row in enumerate(product)}
+                                           for c in range(cols)])
+    assert (m.rows, m.cols) == (rows, cols)
+    assert rank(m) == dense_rank(product) <= inner
 
 
 def test_joint_kernel_without_maps_is_the_identity_basis():

@@ -9,6 +9,7 @@ from qspecht.scalar import (
     LaurentScalar,
     ScalarDomain,
     cyclotomic_polynomial,
+    fold,
     root_of_unity,
     specialize,
 )
@@ -232,3 +233,98 @@ def test_float_coefficients_rejected():
         LaurentScalar({0: 1.5})
     with pytest.raises(TypeError):
         LaurentScalar({2: 1, 3: Fraction(1, 2)})
+
+
+@given(laurent_scalars, laurent_scalars, st.integers(-5, 5), ORDERS)
+def test_subtraction_is_addition_of_the_negation(x, y, n, p):
+    a, b = specialize(x, p), specialize(y, p)
+    for u, v in [(x, y), (a, b)]:
+        assert u - v == u + (-v)
+        assert u - n == u + (-n)
+        assert n - u == -u + n
+        assert (u - u).is_zero()
+
+
+# ---------------------------------------------- fold and the product fast paths
+
+@st.composite
+def fold_cases(draw):
+    """(domain, acc, pairs, scale): acc has no stored zeros; pairs may hold
+    explicit zeros, repeated keys and terms that cancel entries of acc."""
+    p = draw(st.sampled_from([None, 3, 4, 5, 7]))
+    domain = ScalarDomain(p)
+
+    def scalar():
+        x = draw(laurent_scalars)
+        return x if p is None else specialize(x, p)
+
+    acc = {k: x for k, x in ((k, scalar()) for k in draw(st.sets(st.integers(0, 5)))) if x}
+    pairs = [(draw(st.integers(0, 7)), scalar()) for _ in range(draw(st.integers(0, 6)))]
+    pairs += [(k, -x) for k, x in pairs + list(acc.items()) if draw(st.booleans())]
+    draw(st.randoms(use_true_random=False)).shuffle(pairs)
+    scale = draw(st.sampled_from([domain.zero(), domain.one(), domain.from_int(-1), scalar()]))
+    return domain, acc, pairs, scale
+
+
+@given(fold_cases())
+def test_fold_matches_the_naive_accumulate(case):
+    domain, acc, pairs, scale = case
+    expected = dict(acc)
+    for k, x in pairs:
+        value = expected.get(k, domain.zero()) + scale * x
+        if value:
+            expected[k] = value
+        elif k in expected:
+            del expected[k]
+    fold(acc, iter(pairs), scale)
+    assert acc == expected
+    assert all(acc.values())
+
+
+@pytest.mark.parametrize("domain", [GENERIC, root_of_unity(5)])
+def test_fold_by_one_stores_the_scalars_themselves(domain):
+    x, y = domain.q_power(2), domain.from_int(3) * domain.q()
+    acc = {0: domain.from_int(7), 2: domain.zero() - y - y}
+    fold(acc, [(1, x), (3, y), (2, y)], domain.one())
+    assert acc[1] is x and acc[3] is y
+    assert acc == {0: domain.from_int(7), 1: x, 2: -y, 3: y}
+
+
+def double_loop_product(a, b):
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+monomials = st.builds(lambda e, c: LaurentScalar({e: c}),
+                      st.integers(-6, 6), st.integers(-9, 9).filter(bool))
+
+
+@given(monomials, laurent_scalars)
+def test_monomial_product_is_the_double_loop(m, x):
+    expected = double_loop_product(m, x)
+    for product in (m * x, x * m):
+        assert product.terms == expected
+        assert product == LaurentScalar(expected)
+        assert hash(product) == hash(LaurentScalar(expected))
+        assert str(product) == str(LaurentScalar(expected))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
+@given(st.data())
+def test_short_coefficient_lists_with_trailing_zeros_are_canonical(p, data):
+    degree = max(cyclotomic_polynomial(p).terms)
+    trimmed = data.draw(st.lists(rationals, max_size=degree))
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    padding = data.draw(st.integers(1, degree - len(trimmed)) if len(trimmed) < degree
+                        else st.just(0))
+    x = CyclotomicScalar(p, trimmed + [0] * padding)
+    y = CyclotomicScalar(p, trimmed)
+    # a list as long as Phi_p goes through the long division
+    z = CyclotomicScalar(p, trimmed + [0] * (degree + 1 - len(trimmed)))
+    assert x == y == z
+    assert hash(x) == hash(y) == hash(z)
+    assert x.coeffs == y.coeffs == z.coeffs == tuple(trimmed)
