@@ -15,9 +15,11 @@ Two ground domains are supported:
 Coefficients must be ints (or, for residues, Fractions); anything else,
 a float included, raises TypeError.  Scalars are immutable canonical
 values: no zero coefficients are stored, cyclotomic residues are fully
-reduced, equality is decidable and hashing is safe.  `fold` is the one
-multiply-accumulate of the package: every sparse sum of scaled vectors, in
-the action engine and in the echelon, goes through it.  The string grammar
+reduced and equality is decidable.  A scalar computes its hash once, on
+first use, and keeps it in a slot; a scalar equal to the integer c hashes as
+hash(c), so scalars and ints are interchangeable dict keys.  `fold` is the
+one multiply-accumulate of the package: every sparse sum of scaled vectors,
+in the action engine and in the echelon, goes through it.  The string grammar
 renders terms in increasing exponent order ("-1 + q^2 - q^3", exponent 0
 as a bare integer, exponent 1 as "q") and `parse` accepts the same grammar.
 """
@@ -109,7 +111,7 @@ class LaurentScalar:
     '-1 + q^2'
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Union[dict, int] = 0, _ints: bool = False):
         # _ints=True is for the arithmetic below, whose values are ints; it is
@@ -224,7 +226,16 @@ class LaurentScalar:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # computed on first use; a constant c hashes as hash(c), as it equals c
+        try:
+            return self._hash
+        except AttributeError:
+            terms = self._terms
+            if terms.keys() <= {0}:
+                self._hash = hash(terms.get(0, 0))
+            else:
+                self._hash = hash(frozenset(terms.items()))
+            return self._hash
 
     def __bool__(self):
         return bool(self._terms)
@@ -323,7 +334,7 @@ class CyclotomicScalar:
     TypeError.
     """
 
-    __slots__ = ("_p", "_coeffs", "_den")
+    __slots__ = ("_p", "_coeffs", "_den", "_hash")
 
     def __init__(self, p: int, coeffs=(), _den: int = 0):
         # a nonzero _den is for the arithmetic below: coeffs is then a fresh
@@ -468,9 +479,17 @@ class CyclotomicScalar:
                 and self._coeffs == other._coeffs)
 
     def __hash__(self):
-        # the hash of the rational coefficients: equal values hash equally
-        # whether a coefficient is an int or a Fraction
-        return hash((self._p, self.coeffs))
+        # computed on first use from the canonical (numerators, denominator);
+        # an integer constant c hashes as hash(c), as it equals c
+        try:
+            return self._hash
+        except AttributeError:
+            cs = self._coeffs
+            if len(cs) <= 1 and self._den == 1:
+                self._hash = hash(cs[0] if cs else 0)
+            else:
+                self._hash = hash((self._p, cs, self._den))
+            return self._hash
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -496,25 +515,41 @@ def specialize(x: LaurentScalar, p: int) -> CyclotomicScalar:
     return CyclotomicScalar(p, dense, 1)
 
 
-def fold(acc: dict, pairs, scale) -> None:
+def fold(acc: dict, pairs, scale, products: dict | None = None,
+         sums: dict | None = None) -> None:
     """acc += scale * pairs for an iterable of (key, scalar) pairs, in place;
     no zero is stored.  A scale of one stores the scalars themselves (they are
     immutable), a new key takes its term without a sum, and only sums can cancel.
+
+    With the tables `products`, mapping (a, b) to a * b, and `sums`, mapping
+    (a, b) to a + b, each product and sum is looked up before it is computed
+    and stored after, so repeated arithmetic returns one shared scalar.
     """
     if not scale:
         return
     unit = scale == 1
     for k, x in pairs:
         old = acc.get(k)
-        if old is None:
-            if x:
-                acc[k] = x if unit else scale * x
+        if products is None:
+            if not unit:
+                x = scale * x
+            total = x if old is None else old + x
         else:
-            total = old + (x if unit else scale * x)
-            if total:
-                acc[k] = total
+            if not unit:
+                y = products.get((scale, x))
+                if y is None:
+                    y = products[scale, x] = scale * x
+                x = y
+            if old is None:
+                total = x
             else:
-                del acc[k]
+                total = sums.get((old, x))
+                if total is None:
+                    total = sums[old, x] = old + x
+        if total:
+            acc[k] = total
+        elif old is not None:
+            del acc[k]
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,13 @@ different Specht module is what the root-of-unity submodule search uses.
 `basis` and its `index`, the memo of column-sorted non-standard tableaux,
 the action table of h_i on each basis vector, the action of (scalar, word)
 sums, and matrix building; vectors inside it are keyed by basis position,
-and every sum of scaled expansions is one `scalar.fold`.
+and every sum of scaled expansions is one `scalar.fold`.  Straightening
+draws its coefficients from a few signed powers of q, so the module keeps a
+product table and a sum table: the Garnir solve and the action table look
+each product and sum up there, compute it once, and share the scalar.
 The public functions take their module from `specht_module`, which keeps the
 module of the most recent (shape, domain) only; `specht_module.cache_clear()`
-frees it.
+frees it, its memo and its tables.
 """
 
 from __future__ import annotations
@@ -214,6 +217,12 @@ class SpechtModule:
     expansion of h_i on basis vector j, is computed once and kept in the
     action table, which every action and matrix reads.  `policy` picks the
     row descent each Garnir step removes; the expansions do not depend on it.
+
+    `products` maps each pair (a, b) multiplied in straightening to a * b,
+    and each Garnir exponent e to -(-q)^e, the scale of a candidate e
+    inversions shorter; `sums` maps each pair (a, b) added there to a + b.
+    Only `_garnir` and `image` use them: the coefficients met in the action
+    on general vectors and in elimination rarely repeat.
     """
 
     def __init__(self, shape: Partition, domain: ScalarDomain, policy: str = TOPMOST):
@@ -232,8 +241,8 @@ class SpechtModule:
         self._neighbours = neighbours[::_DESCENT[policy]]
         self._zero, self._one, self._q = domain.zero(), domain.one(), domain.q()
         self._q_minus_1 = self._q - self._one
-        # -(-q)^e, the scale of a Garnir candidate e inversions shorter
-        self._garnir_scales: dict[int, object] = {}
+        self.products: dict = {}
+        self.sums: dict = {}
 
     @cached_property
     def basis(self) -> tuple[Tableau, ...]:
@@ -269,15 +278,24 @@ class SpechtModule:
         """Solve the Garnir relation of a column-sorted non-standard word for it."""
         left, split, right = next(cells for cells in self._neighbours
                                   if word[cells[0]] > word[cells[2]])
+        products, sums = self.products, self.sums
         acc: dict[int, object] = {}
         for candidate, exponent in _garnir_block(word, left, split, right + 1):
             if candidate != word:
-                scale = self._garnir_scales.get(exponent)
+                scale = products.get(exponent)
                 if scale is None:
-                    scale = self._garnir_scales[exponent] = -self.domain.neg_q_power(exponent)
+                    scale = products[exponent] = -self.domain.neg_q_power(exponent)
                 sign, expansion = self._expansion(candidate)
-                fold(acc, expansion, scale if sign > 0 else -scale)
+                fold(acc, expansion, scale if sign > 0 else self._product(-1, scale),
+                     products, sums)
         return tuple(acc.items())
+
+    def _product(self, a, b):
+        """a * b, from the product table."""
+        c = self.products.get((a, b))
+        if c is None:
+            c = self.products[a, b] = a * b
+        return c
 
     def straighten_tableau(self, t: Tableau) -> tuple:
         """Standard-basis expansion of v_t as ((position, coefficient), ...)."""
@@ -305,12 +323,14 @@ class SpechtModule:
             word[a], word[b] = i + 1, i
             sign, pairs = self._expansion(tuple(word))
             if a > b:
+                products, sums = self.products, self.sums
                 acc: dict[int, object] = {}
-                fold(acc, pairs, self._q if sign > 0 else -self._q)
-                fold(acc, ((j, self._q_minus_1),), self._one)
+                fold(acc, pairs, self._q if sign > 0 else self._product(-1, self._q),
+                     products, sums)
+                fold(acc, ((j, self._q_minus_1),), self._one, products, sums)
                 pairs = tuple(acc.items())
             elif sign < 0:
-                pairs = tuple((u, -c) for u, c in pairs)
+                pairs = tuple((u, self._product(-1, c)) for u, c in pairs)
             self._images[(i, j)] = pairs
         return pairs
 

@@ -72,6 +72,26 @@ def test_verify_output_is_golden(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[argv]
 
 
+# sha256 of the stdout of `qspecht decompose ... --oracle`, recorded before
+# straightening kept per-module product and sum tables; straightening at a
+# root of unity (p = 4 composite) feeds the annihilator-kernel oracle
+GOLDEN_DECOMPOSE = {
+    ("--shape", "7,6", "--p", "3", "--oracle", "--json"):
+        "6ba1572b9b8e5280d9c56e4387caad32ec63d2783326aa8974291f3c3a0f743c",
+    ("--shape", "6,4", "--p", "5", "--oracle"):
+        "69e0258845795b9c14ea6856daf79789430fb49ddb197a374e0ce781f81fbd50",
+    ("--shape", "6,3", "--p", "4", "--oracle", "--json"):
+        "62c81b012aba431a4bb2b67a412f780b7d81969d6f9f94203f319d66c38536b6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_DECOMPOSE))
+def test_decompose_output_is_golden(capsys, argv):
+    code, out, err = run(capsys, "decompose", *argv)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DECOMPOSE[argv]
+
+
 def test_matrix_single_row(capsys):
     code, out, _ = run(capsys, "matrix", "--shape", "5", "--gen", "2")
     assert code == 0

@@ -208,6 +208,24 @@ def test_fraction_with_integral_value_is_an_int(p, n):
     assert x.coeffs == y.coeffs and is_integral(x)
 
 
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+@given(st.integers() | st.integers(-3, 3), laurent_scalars)
+@example(c=1, r=LaurentScalar(0))
+@example(c=0, r=LaurentScalar(0))
+@example(c=-1, r=LaurentScalar(0))
+@example(c=2**64, r=LaurentScalar(0))
+def test_scalar_equal_to_an_int_hashes_as_the_int(p, c, r):
+    # c plus a multiple of Phi_p is the residue c
+    residue = specialize(LaurentScalar(c) + cyclotomic_polynomial(p) * r, p)
+    for x in (LaurentScalar(c), LaurentScalar({0: c}), residue,
+              CyclotomicScalar.from_int(p, c), CyclotomicScalar(p, (Fraction(2 * c, 2),))):
+        assert x == c
+        assert hash(x) == hash(c)
+        assert {x: True}.get(c) and {c: True}.get(x)
+    for x in (LaurentScalar(c) + q, residue + CyclotomicScalar.q_power(p, 1)):
+        assert x != c and hash(x) == hash(x)
+
+
 @given(rational_residues())
 def test_rational_residue_parse_roundtrip(x):
     assert CyclotomicScalar.parse(str(x), x.p) == x

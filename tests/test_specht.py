@@ -536,7 +536,39 @@ def test_bottommost_straighten_leaves_registry_memo_alone():
     t = Tableau.parse("2,1,3/4,5")
     v = TableauVector.single(t, GENERIC)
     topmost = straighten(v)
-    memo_size = len(specht_module(S32, GENERIC).memo)
-    assert memo_size > 0
+    module = specht_module(S32, GENERIC)
+    memo_size = len(module.memo)
+    tables = dict(module.products), dict(module.sums)
+    assert memo_size > 0 and module.products
     assert straighten(v, policy=BOTTOMMOST) == topmost
-    assert len(specht_module(S32, GENERIC).memo) == memo_size
+    assert specht_module(S32, GENERIC) is module
+    assert len(module.memo) == memo_size
+    assert (module.products, module.sums) == tables
+
+
+@pytest.mark.parametrize("p", [None, 3, 4], ids=["generic", "p3", "p4"])
+def test_product_and_sum_tables_are_exact_and_per_module(p):
+    shape = Partition((4, 3, 2, 1))
+    domain = GENERIC if p is None else root_of_unity(p)
+    specht_module.cache_clear()
+    module = specht_module(shape, domain)
+    for i in range(1, shape.n):
+        generator_matrix(shape, i, domain)
+    assert module.products and module.sums
+    for key, c in module.products.items():
+        if isinstance(key, int):
+            # the scale -(-q)^e of a Garnir candidate e inversions shorter
+            assert c == -domain.neg_q_power(key)
+        else:
+            a, b = key
+            assert c == a * b
+    for (a, b), c in module.sums.items():
+        assert c == a + b
+    # every stored coefficient is one shared object: a table value, one or q - 1
+    stored = {id(c) for expansion in (*module.memo.values(), *module._images.values())
+              for _, c in expansion}
+    assert len(stored) <= len(module.products) + len(module.sums) + 2
+    specht_module.cache_clear()
+    fresh = specht_module(shape, domain)
+    assert fresh is not module
+    assert not fresh.products and not fresh.sums and not fresh.memo
