@@ -2,26 +2,32 @@
 
 Two ground domains are supported:
 
-* generic -- integer Laurent polynomials in q.  Negative powers are
-  first-class so that units such as (-q)^-3 stay exact.
+* generic -- integer Laurent polynomials in q (`LaurentScalar`).  Negative
+  powers are first-class so that units such as (-q)^-3 stay exact.
 * root of unity -- the field Q[q]/(Phi_p), where Phi_p is the p-th
-  cyclotomic polynomial.  There q is a primitive p-th root of unity and
-  every nonzero element is invertible (Phi_p is irreducible over Q).
-  A residue is stored as integer coefficients over one positive common
-  denominator in lowest terms.  Phi_p is monic, so everything that comes
-  from Z[q, q^-1] stays in Z[zeta_p] with denominator 1 and its arithmetic
-  runs on plain ints; only `inverse` brings in other denominators.
+  cyclotomic polynomial (`CyclotomicScalar`).  There q is a primitive p-th
+  root of unity and every nonzero element is invertible (Phi_p is
+  irreducible over Q).  Phi_p is monic, so everything that comes from
+  Z[q, q^-1] stays in Z[zeta_p] with denominator 1 and its arithmetic runs
+  on plain ints; only `inverse` brings in other denominators.
 
-Coefficients must be ints (or, for residues, Fractions); anything else,
-a float included, raises TypeError.  Scalars are immutable canonical
-values: no zero coefficients are stored, cyclotomic residues are fully
-reduced and equality is decidable.  A scalar computes its hash once, on
-first use, and keeps it in a slot; a scalar equal to the integer c hashes as
-hash(c), so scalars and ints are interchangeable dict keys.  `fold` is the
-one multiply-accumulate of the package: every sparse sum of scaled vectors,
-in the action engine and in the echelon, goes through it.  The string grammar
-renders terms in increasing exponent order ("-1 + q^2 - q^3", exponent 0
-as a bare integer, exponent 1 as "q") and `parse` accepts the same grammar.
+Both store one dense format, a lowest exponent and a tuple of integer
+coefficients over a positive denominator, and share the arithmetic of the
+private base class `_Polynomial`; `_poly_mul` is the package's one
+polynomial product.  Each class brings a result to its canonical form: a
+Laurent scalar trims the zeros at both ends, a residue reduces modulo Phi_p
+and by the gcd with its denominator.
+
+Coefficients must be ints (or, for residues, Fractions), and Laurent
+exponents ints; anything else, a float included, raises TypeError.  Scalars
+are immutable canonical values, so equality is decidable.  A scalar computes
+its hash once, on first use, and keeps it in a slot; a scalar equal to the
+integer c hashes as hash(c), so scalars and ints are interchangeable dict
+keys.  `fold` is the one multiply-accumulate of the package: every sparse
+sum of scaled vectors, in the action engine and in the echelon, goes through
+it.  The string grammar renders terms in increasing exponent order
+("-1 + q^2 - q^3", exponent 0 as a bare integer, exponent 1 as "q") and
+`parse` accepts the same grammar.
 """
 
 from __future__ import annotations
@@ -103,35 +109,179 @@ def _scan_terms(text: str) -> list[tuple[Fraction, int]]:
     return terms
 
 
-class LaurentScalar:
-    """Integer Laurent polynomial in q, canonical (no zero coefficients).
+def _poly_mul(a, b) -> list:
+    """Product of two dense ascending coefficient sequences, as a list.
+
+    A one-element factor scales the other one; as Z has no zero divisors, an
+    integer product keeps both end coefficients nonzero.
+    """
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return [c * x for x in b]
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+class _Polynomial:
+    """The arithmetic that Laurent scalars and residues share.
+
+    A value is q^_low * (c_0 + c_1 q + ... + c_k q^k) / _den, where _coeffs is
+    the tuple (c_0, ..., c_k) of ints with c_k nonzero, _den is a positive int
+    and zero is _low 0 with _coeffs ().  _p is the root-of-unity order, None
+    for a Laurent scalar.  A subclass supplies `_make(low, coeffs, den)`, which
+    brings a fresh coefficient list to the canonical form, and `_coerce`, which
+    converts an operand or returns None for a foreign one.
+    """
+
+    __slots__ = ("_p", "_low", "_coeffs", "_den", "_hash")
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def __bool__(self):
+        return bool(self._coeffs)
+
+    def _sum(self, other, sign: int):
+        """self + sign * other, on aligned offsets over the product of the
+        denominators."""
+        # an operand of the same class and order skips _coerce
+        if type(other) is not type(self) or other._p != self._p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, den = self._coeffs, other._coeffs, self._den
+        if den != other._den:
+            a = [c * other._den for c in a]
+            b = [c * den for c in b]
+            den *= other._den
+        low = self._low
+        shift = other._low - low
+        if shift < 0:
+            low, shift, a = other._low, 0, [0] * -shift + list(a)
+        out = list(a) + [0] * (shift + len(b) - len(a))
+        for i, c in enumerate(b, shift):
+            out[i] += sign * c
+        return self._make(low, out, den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other._sum(self, -1)
+
+    def __neg__(self):
+        return self._make(self._low, [-c for c in self._coeffs], self._den)
+
+    def __mul__(self, other):
+        if type(other) is not type(self) or other._p != self._p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._make(self._low + other._low, _poly_mul(self._coeffs, other._coeffs),
+                          self._den * other._den)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return (self._coeffs == ((other,) if other else ()) and self._low == 0
+                    and self._den == 1)
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._coeffs == other._coeffs and self._low == other._low
+                and self._den == other._den and self._p == other._p)
+
+    def __hash__(self):
+        # computed on first use; a constant c hashes as hash(c), as it equals c
+        try:
+            return self._hash
+        except AttributeError:
+            cs = self._coeffs
+            if len(cs) <= 1 and self._low == 0 and self._den == 1:
+                self._hash = hash(cs[0] if cs else 0)
+            else:
+                self._hash = hash((self._p, self._low, cs, self._den))
+            return self._hash
+
+    def __str__(self):
+        den = self._den
+        return _format_terms([(e, c if den == 1 else Fraction(c, den))
+                              for e, c in enumerate(self._coeffs, self._low) if c])
+
+
+class LaurentScalar(_Polynomial):
+    """Integer Laurent polynomial in q, canonical (no zero end coefficients).
 
     >>> q = LaurentScalar.q_power(1)
     >>> str((q - 1) * (q + 1))
     '-1 + q^2'
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, terms: Union[dict, int] = 0, _ints: bool = False):
-        # _ints=True is for the arithmetic below, whose values are ints; it is
-        # passed by position, as a keyword would cost a dict per call
+    def __init__(self, terms: Union[dict, int] = 0):
         if isinstance(terms, int):
             terms = {0: terms}
-        self._terms = {e: c for e, c in terms.items() if c}
-        if not _ints:
-            for c in self._terms.values():
-                if not isinstance(c, int):
-                    raise TypeError(f"Laurent coefficient {c!r} is not an int")
+        elif not isinstance(terms, dict):
+            raise TypeError(f"a Laurent scalar is made from an int or a dict, not {terms!r}")
+        for e, c in terms.items():
+            if not isinstance(e, int):
+                raise TypeError(f"Laurent exponent {e!r} is not an int")
+            if not isinstance(c, int):
+                raise TypeError(f"Laurent coefficient {c!r} is not an int")
+        terms = {e: c for e, c in terms.items() if c}
+        low = min(terms, default=0)
+        cs = [0] * (max(terms, default=low - 1) + 1 - low)
+        for e, c in terms.items():
+            cs[e - low] = c
+        self._p, self._low, self._coeffs, self._den = None, low, tuple(cs), 1
+
+    def _make(self, low, cs, den):
+        # den is 1 for every Laurent scalar; only the zero ends are trimmed
+        if not (cs and cs[0] and cs[-1]):
+            if any(cs):
+                hi = len(cs)
+                while not cs[hi - 1]:
+                    hi -= 1
+                lo = 0
+                while not cs[lo]:
+                    lo += 1
+                cs, low = cs[lo:hi], low + lo
+            else:
+                cs, low = (), 0
+        out = object.__new__(LaurentScalar)
+        out._p, out._low, out._coeffs, out._den = None, low, tuple(cs), 1
+        return out
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return self._make(0, [other], 1)
+        if isinstance(other, LaurentScalar):
+            return other
+        return None
 
     @classmethod
     def q_power(cls, exponent: int) -> "LaurentScalar":
-        return cls({exponent: 1}, True)
+        return cls({exponent: 1})
 
     @classmethod
     def neg_q_power(cls, exponent: int) -> "LaurentScalar":
         """The unit (-q)^exponent, for any integer exponent."""
-        return cls({exponent: -1 if exponent % 2 else 1}, True)
+        return cls({exponent: -1 if exponent % 2 else 1})
 
     @classmethod
     def parse(cls, text: str) -> "LaurentScalar":
@@ -144,119 +294,23 @@ class LaurentScalar:
 
     @property
     def terms(self) -> dict[int, int]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return LaurentScalar(other)
-        if isinstance(other, LaurentScalar):
-            return other
-        return None
-
-    def _sum(self, other, sign: int):
-        """self + sign * other, coefficient by coefficient."""
-        if type(other) is not LaurentScalar:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + sign * c
-        return LaurentScalar(out, True)
-
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentScalar({e: -c for e, c in self._terms.items()}, True)
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else other._sum(self, -1)
-
-    def __mul__(self, other):
-        if type(other) is not LaurentScalar:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        a, b = self._terms, other._terms
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:
-            # a monomial shifts and scales b; as Z has no zero divisors, no zero appears
-            ((e, c),) = a.items()
-            out = object.__new__(LaurentScalar)
-            out._terms = {e + f: c * d for f, d in b.items()}
-            return out
-        out: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentScalar(out, True)
-
-    __rmul__ = __mul__
+        return {e: c for e, c in enumerate(self._coeffs, self._low) if c}
 
     def __pow__(self, k: int):
         if k < 0:
-            if len(self._terms) != 1:
+            if len(self._coeffs) != 1:
                 raise ValueError("only monomial Laurent scalars are invertible")
-            ((e, c),) = self._terms.items()
+            (c,) = self._coeffs
             if c not in (1, -1):
                 raise ValueError("only unit Laurent scalars are invertible")
-            return LaurentScalar({-e: c}) ** (-k)
+            return LaurentScalar({-self._low: c}) ** (-k)
         out = LaurentScalar(1)
         for _ in range(k):
             out = out * self
         return out
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        # computed on first use; a constant c hashes as hash(c), as it equals c
-        try:
-            return self._hash
-        except AttributeError:
-            terms = self._terms
-            if terms.keys() <= {0}:
-                self._hash = hash(terms.get(0, 0))
-            else:
-                self._hash = hash(frozenset(terms.items()))
-            return self._hash
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __str__(self):
-        return _format_terms(sorted(self._terms.items()))
-
     def __repr__(self):
         return f"LaurentScalar('{self}')"
-
-
-def _poly_mul(a, b) -> list:
-    """Product of two dense ascending coefficient lists."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
 
 
 def _poly_divmod(a: list, b) -> list:
@@ -320,34 +374,32 @@ def _numerators(coeffs) -> tuple[list[int], int]:
     return cs, den
 
 
-class CyclotomicScalar:
+class CyclotomicScalar(_Polynomial):
     """Residue of a rational polynomial in q modulo Phi_p (p >= 3).
 
     The residue is stored as integer numerators over one positive common
     denominator, in lowest terms: (c_0 + c_1 q + ... + c_{d-1} q^(d-1)) / den
-    with d = deg Phi_p, so the representation is unique and q^p = 1 holds
-    exactly.  Phi_p is monic, so the residues of Z[q, q^-1] are the
-    residues with den == 1, and their sums and products never leave the
+    with d = deg Phi_p and _low 0, so the representation is unique and
+    q^p = 1 holds exactly.  Phi_p is monic, so the residues of Z[q, q^-1] are
+    the residues with den == 1, and their sums and products never leave the
     integers; only `inverse` brings in a denominator.
 
     The constructor takes ints and Fractions; any other type raises
     TypeError.
     """
 
-    __slots__ = ("_p", "_coeffs", "_den", "_hash")
+    __slots__ = ()
 
-    def __init__(self, p: int, coeffs=(), _den: int = 0):
-        # a nonzero _den is for the arithmetic below: coeffs is then a fresh
-        # list of ints over that denominator.  It is passed by position, as a
-        # keyword would cost a dict per call.
+    def __init__(self, p: int, coeffs=()):
         if p < 3:
             raise ValueError(f"root-of-unity order must be >= 3, got {p}")
         self._p = p
-        if _den:
-            cs, den = coeffs, _den
-        else:
-            cs, den = _numerators(coeffs)
-        phi = _cyclotomic_coeffs(p)
+        x = self._make(0, *_numerators(coeffs))
+        self._low, self._coeffs, self._den = 0, x._coeffs, x._den
+
+    def _make(self, low, cs, den):
+        # low is 0 for every residue
+        phi = _cyclotomic_coeffs(self._p)
         if len(cs) >= len(phi):
             _poly_divmod(cs, phi)  # reduce modulo Phi_p in place
         while cs and not cs[-1]:
@@ -357,8 +409,18 @@ class CyclotomicScalar:
             if g != 1:
                 cs = [c // g for c in cs]
                 den //= g
-        self._coeffs = tuple(cs)
-        self._den = den
+        out = object.__new__(CyclotomicScalar)
+        out._p, out._low, out._coeffs, out._den = self._p, 0, tuple(cs), den
+        return out
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return self._make(0, [other], 1)
+        if not isinstance(other, CyclotomicScalar):
+            return None
+        if other._p != self._p:
+            raise ValueError(f"mixed root-of-unity orders {self._p} and {other._p}")
+        return other
 
     @classmethod
     def from_int(cls, p: int, value: int) -> "CyclotomicScalar":
@@ -366,14 +428,11 @@ class CyclotomicScalar:
 
     @classmethod
     def q_power(cls, p: int, exponent: int) -> "CyclotomicScalar":
-        e = exponent % p
-        return cls(p, [0] * e + [1], 1)
+        return cls(p, [0] * (exponent % p) + [1])
 
     @classmethod
     def neg_q_power(cls, p: int, exponent: int) -> "CyclotomicScalar":
-        sign = -1 if exponent % 2 else 1
-        e = exponent % p
-        return cls(p, [0] * e + [sign], 1)
+        return cls(p, [0] * (exponent % p) + [-1 if exponent % 2 else 1])
 
     @classmethod
     def parse(cls, text: str, p: int) -> "CyclotomicScalar":
@@ -396,57 +455,6 @@ class CyclotomicScalar:
             return self._coeffs
         return tuple(Fraction(c, self._den) for c in self._coeffs)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def _check(self, other):
-        if isinstance(other, int):
-            return CyclotomicScalar.from_int(self._p, other)
-        if not isinstance(other, CyclotomicScalar):
-            return None
-        if other._p != self._p:
-            raise ValueError(f"mixed root-of-unity orders {self._p} and {other._p}")
-        return other
-
-    def _sum(self, other, sign: int):
-        """self + sign * other, coefficient by coefficient."""
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        a, b, den = self._coeffs, other._coeffs, self._den
-        if den != other._den:
-            a = [c * other._den for c in a]
-            b = [c * den for c in b]
-            den *= other._den
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] += sign * c
-        return CyclotomicScalar(self._p, out, den)
-
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicScalar(self._p, [-c for c in self._coeffs], self._den)
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def __rsub__(self, other):
-        other = self._check(other)
-        return NotImplemented if other is None else other._sum(self, -1)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicScalar(self._p, _poly_mul(self._coeffs, other._coeffs),
-                                self._den * other._den)
-
-    __rmul__ = __mul__
-
     def inverse(self) -> "CyclotomicScalar":
         if not self._coeffs:
             raise ZeroDivisionError("cyclotomic scalar is zero")
@@ -454,48 +462,21 @@ class CyclotomicScalar:
         # numerator is only needed modulo Phi_p, so it is kept as a residue
         old_r = [Fraction(c) for c in _cyclotomic_coeffs(self._p)]
         r = [Fraction(c) for c in self._coeffs]
-        old_t, t = CyclotomicScalar(self._p), CyclotomicScalar.from_int(self._p, 1)
+        old_t, t = self._make(0, [], 1), self._make(0, [1], 1)
         while r:
             quo = _poly_divmod(old_r, r)
             old_r, r = r, old_r
-            old_t, t = t, old_t - CyclotomicScalar(self._p, quo) * t
+            old_t, t = t, old_t - self._make(0, *_numerators(quo)) * t
         # old_r is a nonzero constant c because Phi_p is irreducible, and
         # the inverse of numerator / den is den * old_t / c
         (c,) = old_r
-        return CyclotomicScalar(self._p, [x * self._den / c for x in old_t.coeffs])
+        return self._make(0, *_numerators(x * self._den / c for x in old_t.coeffs))
 
     def __truediv__(self, other):
-        other = self._check(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self._den == 1 and self._coeffs == ((other,) if other else ())
-        if not isinstance(other, CyclotomicScalar):
-            return NotImplemented
-        return (self._p == other._p and self._den == other._den
-                and self._coeffs == other._coeffs)
-
-    def __hash__(self):
-        # computed on first use from the canonical (numerators, denominator);
-        # an integer constant c hashes as hash(c), as it equals c
-        try:
-            return self._hash
-        except AttributeError:
-            cs = self._coeffs
-            if len(cs) <= 1 and self._den == 1:
-                self._hash = hash(cs[0] if cs else 0)
-            else:
-                self._hash = hash((self._p, cs, self._den))
-            return self._hash
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    def __str__(self):
-        return _format_terms([(e, c) for e, c in enumerate(self.coeffs) if c])
 
     def __repr__(self):
         return f"CyclotomicScalar(p={self._p}, '{self}')"
@@ -510,9 +491,9 @@ def specialize(x: LaurentScalar, p: int) -> CyclotomicScalar:
     if p < 3:
         raise ValueError(f"specialization requires p >= 3, got {p}")
     dense = [0] * p
-    for e, c in x._terms.items():
+    for e, c in enumerate(x._coeffs, x._low):
         dense[e % p] += c
-    return CyclotomicScalar(p, dense, 1)
+    return CyclotomicScalar(p, dense)
 
 
 def fold(acc: dict, pairs, scale, products: dict | None = None,

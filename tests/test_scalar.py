@@ -251,6 +251,9 @@ def test_float_coefficients_rejected():
         LaurentScalar({0: 1.5})
     with pytest.raises(TypeError):
         LaurentScalar({2: 1, 3: Fraction(1, 2)})
+    for bad in (1.5, Fraction(1, 2), "1", {1.5: 1}, {Fraction(2, 1): 1}):
+        with pytest.raises(TypeError):
+            LaurentScalar(bad)
 
 
 @given(laurent_scalars, laurent_scalars, st.integers(-5, 5), ORDERS)
@@ -261,6 +264,11 @@ def test_subtraction_is_addition_of_the_negation(x, y, n, p):
         assert u - n == u + (-n)
         assert n - u == -u + n
         assert (u - u).is_zero()
+    # cancellation at either end leaves the canonical form of x
+    difference = (x + y) - y
+    assert difference.terms == x.terms
+    assert hash(difference) == hash(x)
+    assert str(difference) == str(x)
 
 
 # ---------------------------------------------- fold and the product fast paths
@@ -309,6 +317,7 @@ def test_fold_by_one_stores_the_scalars_themselves(domain):
 
 
 def double_loop_product(a, b):
+    # the sparse dict multiply, kept as the reference for the dense product
     out = {}
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
@@ -320,7 +329,7 @@ monomials = st.builds(lambda e, c: LaurentScalar({e: c}),
                       st.integers(-6, 6), st.integers(-9, 9).filter(bool))
 
 
-@given(monomials, laurent_scalars)
+@given(monomials | laurent_scalars, laurent_scalars)
 def test_monomial_product_is_the_double_loop(m, x):
     expected = double_loop_product(m, x)
     for product in (m * x, x * m):
