@@ -14,20 +14,28 @@ Two ground domains are supported:
 Both store one dense format, a lowest exponent and a tuple of integer
 coefficients over a positive denominator, and share the arithmetic of the
 private base class `_Polynomial`; `_poly_mul` is the package's one
-polynomial product.  Each class brings a result to its canonical form: a
-Laurent scalar trims the zeros at both ends, a residue reduces modulo Phi_p
-and by the gcd with its denominator.
+polynomial product.  Each class has one constructor, `_make(low, coeffs,
+den)`, which brings a fresh coefficient list to its canonical form: a
+Laurent scalar trims the zeros at both ends; a residue turns q^low into
+q^(low mod p), as q^p = 1, and reduces modulo Phi_p and by the gcd with its
+denominator.  So `specialize` is one `_make` call.
 
-Coefficients must be ints (or, for residues, Fractions), and Laurent
-exponents ints; anything else, a float included, raises TypeError.  Scalars
-are immutable canonical values, so equality is decidable.  A scalar computes
-its hash once, on first use, and keeps it in a slot; a scalar equal to the
-integer c hashes as hash(c), so scalars and ints are interchangeable dict
-keys.  `fold` is the one multiply-accumulate of the package: every sparse
+`ScalarDomain` is the one factory: a domain keeps its unit scalar, and its
+zero, integers, powers of q and `parse` are `_make` calls on that unit.
+`LaurentScalar(terms)` and `CyclotomicScalar(p, coeffs)` check outside
+input and hand it to the same `_make`.  Coefficients must be ints (or, for
+residues, Fractions), and Laurent exponents ints; anything else, a float
+included, raises TypeError.  An outside exponent span of more than
+`MAX_SPAN` coefficients raises ValueError, as storage grows with the span.
+
+Scalars are immutable canonical values, so equality is decidable.  A scalar
+computes its hash once, on first use, and keeps it in a slot; a scalar equal
+to the integer c hashes as hash(c), so scalars and ints are interchangeable
+dict keys.  `fold` is the one multiply-accumulate of the package: every sparse
 sum of scaled vectors, in the action engine and in the echelon, goes through
 it.  The string grammar renders terms in increasing exponent order
 ("-1 + q^2 - q^3", exponent 0 as a bare integer, exponent 1 as "q") and
-`parse` accepts the same grammar.
+`ScalarDomain.parse` accepts the same grammar.
 """
 
 from __future__ import annotations
@@ -37,6 +45,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
+
+# the widest exponent span, in coefficients, accepted from outside input;
+# the package's own exponents stay within about n^2
+MAX_SPAN = 2**16
 
 
 def _format_terms(items) -> str:
@@ -109,6 +121,21 @@ def _scan_terms(text: str) -> list[tuple[Fraction, int]]:
     return terms
 
 
+def _dense(pairs) -> tuple[int, list]:
+    """Lowest exponent and dense ascending coefficients of (exponent,
+    coefficient) pairs, a repeated exponent summed; ValueError on a span of
+    more than MAX_SPAN coefficients."""
+    pairs = [(e, c) for e, c in pairs if c]
+    low = min((e for e, _ in pairs), default=0)
+    span = max((e for e, _ in pairs), default=low - 1) + 1 - low
+    if span > MAX_SPAN:
+        raise ValueError(f"exponent span of {span} coefficients exceeds {MAX_SPAN}")
+    cs = [0] * span
+    for e, c in pairs:
+        cs[e - low] += c
+    return low, cs
+
+
 def _poly_mul(a, b) -> list:
     """Product of two dense ascending coefficient sequences, as a list.
 
@@ -136,9 +163,10 @@ class _Polynomial:
     A value is q^_low * (c_0 + c_1 q + ... + c_k q^k) / _den, where _coeffs is
     the tuple (c_0, ..., c_k) of ints with c_k nonzero, _den is a positive int
     and zero is _low 0 with _coeffs ().  _p is the root-of-unity order, None
-    for a Laurent scalar.  A subclass supplies `_make(low, coeffs, den)`, which
-    brings a fresh coefficient list to the canonical form, and `_coerce`, which
-    converts an operand or returns None for a foreign one.
+    for a Laurent scalar.  A subclass supplies `_make(low, coeffs, den)`, its
+    only constructor, which brings a fresh coefficient list to the canonical
+    form of the domain of self, and `_coerce`, which converts an operand or
+    returns None for a foreign one.
     """
 
     __slots__ = ("_p", "_low", "_coeffs", "_den", "_hash")
@@ -226,29 +254,24 @@ class _Polynomial:
 class LaurentScalar(_Polynomial):
     """Integer Laurent polynomial in q, canonical (no zero end coefficients).
 
-    >>> q = LaurentScalar.q_power(1)
+    >>> q = GENERIC.q()
     >>> str((q - 1) * (q + 1))
     '-1 + q^2'
     """
 
     __slots__ = ()
 
-    def __init__(self, terms: Union[dict, int] = 0):
+    def __new__(cls, terms: Union[dict, int] = 0):
         if isinstance(terms, int):
-            terms = {0: terms}
-        elif not isinstance(terms, dict):
+            return GENERIC.from_int(terms)
+        if not isinstance(terms, dict):
             raise TypeError(f"a Laurent scalar is made from an int or a dict, not {terms!r}")
         for e, c in terms.items():
             if not isinstance(e, int):
                 raise TypeError(f"Laurent exponent {e!r} is not an int")
             if not isinstance(c, int):
                 raise TypeError(f"Laurent coefficient {c!r} is not an int")
-        terms = {e: c for e, c in terms.items() if c}
-        low = min(terms, default=0)
-        cs = [0] * (max(terms, default=low - 1) + 1 - low)
-        for e, c in terms.items():
-            cs[e - low] = c
-        self._p, self._low, self._coeffs, self._den = None, low, tuple(cs), 1
+        return GENERIC._unit._make(*_dense(terms.items()), 1)
 
     def _make(self, low, cs, den):
         # den is 1 for every Laurent scalar; only the zero ends are trimmed
@@ -274,23 +297,13 @@ class LaurentScalar(_Polynomial):
             return other
         return None
 
-    @classmethod
-    def q_power(cls, exponent: int) -> "LaurentScalar":
-        return cls({exponent: 1})
+    @staticmethod
+    def q_power(exponent: int) -> "LaurentScalar":
+        return GENERIC.q_power(exponent)
 
-    @classmethod
-    def neg_q_power(cls, exponent: int) -> "LaurentScalar":
-        """The unit (-q)^exponent, for any integer exponent."""
-        return cls({exponent: -1 if exponent % 2 else 1})
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentScalar":
-        terms: dict[int, int] = {}
-        for coeff, e in _scan_terms(text):
-            if coeff.denominator != 1:
-                raise ValueError(f"non-integer coefficient in Laurent scalar {text!r}")
-            terms[e] = terms.get(e, 0) + int(coeff)
-        return cls(terms)
+    @staticmethod
+    def neg_q_power(exponent: int) -> "LaurentScalar":
+        return GENERIC.neg_q_power(exponent)
 
     @property
     def terms(self) -> dict[int, int]:
@@ -303,8 +316,8 @@ class LaurentScalar(_Polynomial):
             (c,) = self._coeffs
             if c not in (1, -1):
                 raise ValueError("only unit Laurent scalars are invertible")
-            return LaurentScalar({-self._low: c}) ** (-k)
-        out = LaurentScalar(1)
+            return self._make(-self._low, [c], 1) ** -k
+        out = GENERIC.one()
         for _ in range(k):
             out = out * self
         return out
@@ -354,7 +367,7 @@ def cyclotomic_polynomial(p: int) -> LaurentScalar:
     """The p-th cyclotomic polynomial as a Laurent scalar (p >= 2)."""
     if p < 2:
         raise ValueError(f"cyclotomic polynomial needs p >= 2, got {p}")
-    return LaurentScalar({e: c for e, c in enumerate(_cyclotomic_coeffs(p)) if c})
+    return GENERIC._unit._make(0, list(_cyclotomic_coeffs(p)), 1)
 
 
 def _numerators(coeffs) -> tuple[list[int], int]:
@@ -390,16 +403,19 @@ class CyclotomicScalar(_Polynomial):
 
     __slots__ = ()
 
-    def __init__(self, p: int, coeffs=()):
-        if p < 3:
-            raise ValueError(f"root-of-unity order must be >= 3, got {p}")
-        self._p = p
-        x = self._make(0, *_numerators(coeffs))
-        self._low, self._coeffs, self._den = 0, x._coeffs, x._den
+    def __new__(cls, p: int, coeffs=()):
+        return root_of_unity(p)._unit._make(0, *_numerators(coeffs))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild a residue through the constructor
+        return self._p, self.coeffs
 
     def _make(self, low, cs, den):
-        # low is 0 for every residue
-        phi = _cyclotomic_coeffs(self._p)
+        # q^p = 1, so q^low is q^(low mod p)
+        p = self._p
+        if low:
+            cs = [0] * (low % p) + cs
+        phi = _cyclotomic_coeffs(p)
         if len(cs) >= len(phi):
             _poly_divmod(cs, phi)  # reduce modulo Phi_p in place
         while cs and not cs[-1]:
@@ -410,7 +426,7 @@ class CyclotomicScalar(_Polynomial):
                 cs = [c // g for c in cs]
                 den //= g
         out = object.__new__(CyclotomicScalar)
-        out._p, out._low, out._coeffs, out._den = self._p, 0, tuple(cs), den
+        out._p, out._low, out._coeffs, out._den = p, 0, tuple(cs), den
         return out
 
     def _coerce(self, other):
@@ -421,27 +437,6 @@ class CyclotomicScalar(_Polynomial):
         if other._p != self._p:
             raise ValueError(f"mixed root-of-unity orders {self._p} and {other._p}")
         return other
-
-    @classmethod
-    def from_int(cls, p: int, value: int) -> "CyclotomicScalar":
-        return cls(p, (value,))
-
-    @classmethod
-    def q_power(cls, p: int, exponent: int) -> "CyclotomicScalar":
-        return cls(p, [0] * (exponent % p) + [1])
-
-    @classmethod
-    def neg_q_power(cls, p: int, exponent: int) -> "CyclotomicScalar":
-        return cls(p, [0] * (exponent % p) + [-1 if exponent % 2 else 1])
-
-    @classmethod
-    def parse(cls, text: str, p: int) -> "CyclotomicScalar":
-        coeffs: dict[int, Fraction] = {}
-        for coeff, e in _scan_terms(text):
-            e %= p
-            coeffs[e] = coeffs.get(e, 0) + coeff
-        size = max(coeffs, default=-1) + 1
-        return cls(p, [coeffs.get(i, 0) for i in range(size)])
 
     @property
     def p(self) -> int:
@@ -483,17 +478,9 @@ class CyclotomicScalar(_Polynomial):
 
 
 def specialize(x: LaurentScalar, p: int) -> CyclotomicScalar:
-    """Residue of a Laurent scalar at a primitive p-th root of unity.
-
-    Negative powers are rewritten through q^p = 1 (so q^-1 becomes
-    q^(p-1)) before reduction modulo Phi_p.  Requires p >= 3.
-    """
-    if p < 3:
-        raise ValueError(f"specialization requires p >= 3, got {p}")
-    dense = [0] * p
-    for e, c in enumerate(x._coeffs, x._low):
-        dense[e % p] += c
-    return CyclotomicScalar(p, dense)
+    """Residue of a Laurent scalar at a primitive p-th root of unity (p >= 3):
+    the residue `_make` takes x's own exponent and coefficients."""
+    return root_of_unity(p)._unit._make(x._low, list(x._coeffs), 1)
 
 
 def fold(acc: dict, pairs, scale, products: dict | None = None,
@@ -538,7 +525,9 @@ class ScalarDomain:
     """Ground domain tag: generic Laurent ring, or root of unity of order p.
 
     Every module and matrix computation is parameterized by exactly one
-    domain; mixing scalars across domains raises.
+    domain; mixing scalars across domains raises.  The domain is the one
+    factory of its scalars: it keeps its unit, the only scalar not made by
+    a `_make` call, and builds every other scalar with the unit's `_make`.
     """
 
     p: int | None = None
@@ -546,58 +535,67 @@ class ScalarDomain:
     def __post_init__(self):
         if self.p is not None and self.p < 3:
             raise ValueError(f"root-of-unity order must be >= 3, got {self.p}")
+        unit = object.__new__(LaurentScalar if self.p is None else CyclotomicScalar)
+        unit._p, unit._low, unit._coeffs, unit._den = self.p, 0, (1,), 1
+        object.__setattr__(self, "_unit", unit)
 
     @property
     def is_generic(self) -> bool:
         return self.p is None
 
+    def _monomial(self, coefficient: int, exponent: int):
+        # c q^e; both must be ints
+        if not (isinstance(coefficient, int) and isinstance(exponent, int)):
+            raise TypeError(f"{coefficient!r} q^{exponent!r} is not an integer monomial")
+        return self._unit._make(exponent, [coefficient], 1)
+
     def zero(self):
-        return LaurentScalar(0) if self.is_generic else CyclotomicScalar(self.p)
+        return self._monomial(0, 0)
 
     def one(self):
-        return self.from_int(1)
+        return self._unit
 
     def from_int(self, value: int):
-        if self.is_generic:
-            return LaurentScalar(value)
-        return CyclotomicScalar.from_int(self.p, value)
+        return self._monomial(value, 0)
 
     def q(self):
         return self.q_power(1)
 
     def q_power(self, exponent: int):
-        if self.is_generic:
-            return LaurentScalar.q_power(exponent)
-        return CyclotomicScalar.q_power(self.p, exponent)
+        return self._monomial(1, exponent)
 
     def neg_q_power(self, exponent: int):
-        if self.is_generic:
-            return LaurentScalar.neg_q_power(exponent)
-        return CyclotomicScalar.neg_q_power(self.p, exponent)
+        """The unit (-q)^exponent, for any integer exponent."""
+        return self._monomial(-1 if exponent % 2 else 1, exponent)
 
     def contains(self, x) -> bool:
-        if self.is_generic:
-            return isinstance(x, LaurentScalar)
-        return isinstance(x, CyclotomicScalar) and x.p == self.p
+        return isinstance(x, type(self._unit)) and x._p == self.p
 
     def check_entries(self, rows):
         """Raise ValueError unless every entry of the rows is in the domain.
 
-        One pass collects the entry types (and, at a root of unity, the
-        orders); `contains` runs per entry only to name a foreign one.
+        One pass collects the entry types and one the orders; `contains`
+        runs per entry only to name a foreign one.
         """
-        kind = LaurentScalar if self.is_generic else CyclotomicScalar
+        kind = type(self._unit)
         types = {type(x) for row in rows for x in row}
         if all(issubclass(t, kind) for t in types) and (
-                self.is_generic or {x._p for row in rows for x in row} <= {self.p}):
+                {x._p for row in rows for x in row} <= {self.p}):
             return
         bad = next(x for row in rows for x in row if not self.contains(x))
         raise ValueError(f"entry {bad!r} is not in domain {self}")
 
     def parse(self, text: str):
-        if self.is_generic:
-            return LaurentScalar.parse(text)
-        return CyclotomicScalar.parse(text, self.p)
+        """The scalar that `str` renders as `text`.  Raises ValueError on a
+        malformed text, on an exponent span over MAX_SPAN coefficients and
+        on a coefficient the domain does not hold."""
+        low, dense = _dense((e, c) for c, e in _scan_terms(text))
+        cs, den = _numerators(dense)
+        x = self._unit._make(low, list(cs), den)
+        # a Laurent _make has no denominator to keep, so a fraction fails here
+        if den != 1 and x * den != self._unit._make(low, cs, 1):
+            raise ValueError(f"non-integer coefficient in {self} scalar {text!r}")
+        return x
 
     def __str__(self):
         return "generic" if self.is_generic else f"root-of-unity p={self.p}"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from qspecht.scalar import (
     GENERIC,
     CyclotomicScalar,
     LaurentScalar,
+    MAX_SPAN,
     ScalarDomain,
     cyclotomic_polynomial,
     fold,
@@ -67,10 +70,19 @@ def test_cyclotomic_polynomial_rejects_small_p():
         cyclotomic_polynomial(1)
 
 
+def dense_mod_p_fold(x, p):
+    # the exponent fold by q^p = 1 on a dense list of length p, kept as the
+    # reference for specialize
+    dense = [0] * p
+    for e, c in x.terms.items():
+        dense[e % p] += c
+    return CyclotomicScalar(p, dense)
+
+
 def test_specialize_examples():
     assert specialize(one + q + q * q, 3).is_zero()
     assert specialize(LaurentScalar.q_power(3), 3) == 1
-    assert specialize(LaurentScalar.q_power(-1), 5) == CyclotomicScalar.q_power(5, 4)
+    assert specialize(LaurentScalar.q_power(-1), 5) == root_of_unity(5).q_power(4)
 
 
 def test_specialize_rejects_p2():
@@ -83,8 +95,8 @@ def test_specialize_rejects_p2():
 def test_cyclotomic_field_inverse():
     x = CyclotomicScalar(3, (1, 2))  # 1 + 2q
     assert x * x.inverse() == 1
-    assert (CyclotomicScalar.from_int(5, 1) / CyclotomicScalar.q_power(5, 2)) == \
-        CyclotomicScalar.q_power(5, 3)
+    dom = root_of_unity(5)
+    assert dom.from_int(1) / dom.q_power(2) == dom.q_power(3)
     with pytest.raises(ZeroDivisionError):
         CyclotomicScalar(3).inverse()
 
@@ -97,9 +109,9 @@ def test_cyclotomic_canonical_zero():
 
 def test_mixed_domains_raise():
     with pytest.raises(TypeError):
-        q + CyclotomicScalar.from_int(3, 1)
+        q + root_of_unity(3).from_int(1)
     with pytest.raises(ValueError):
-        CyclotomicScalar.from_int(3, 1) + CyclotomicScalar.from_int(5, 1)
+        root_of_unity(3).from_int(1) + root_of_unity(5).from_int(1)
 
 
 @given(laurent_scalars, laurent_scalars, laurent_scalars)
@@ -109,6 +121,7 @@ def test_laurent_distributivity(x, y, z):
 
 @given(laurent_scalars, laurent_scalars, ORDERS)
 def test_specialize_is_ring_homomorphism(x, y, p):
+    assert specialize(x, p) == dense_mod_p_fold(x, p)
     assert specialize(x * y, p) == specialize(x, p) * specialize(y, p)
     assert specialize(x + y, p) == specialize(x, p) + specialize(y, p)
 
@@ -141,24 +154,56 @@ def test_rendering_grammar():
 
 @given(laurent_scalars)
 def test_rendering_roundtrip(x):
-    assert LaurentScalar.parse(str(x)) == x
+    assert GENERIC.parse(str(x)) == x
 
 
 @given(laurent_scalars, ORDERS)
 def test_cyclotomic_rendering_roundtrip(x, p):
     value = specialize(x, p)
-    assert CyclotomicScalar.parse(str(value), p) == value
+    assert root_of_unity(p).parse(str(value)) == value
 
 
 def test_domain_factories():
     assert GENERIC.is_generic
-    assert GENERIC.q_power(-2) == LaurentScalar.q_power(-2)
+    assert GENERIC.q_power(-2) == LaurentScalar.q_power(-2) == LaurentScalar({-2: 1})
+    assert GENERIC.neg_q_power(-3) == LaurentScalar({-3: -1})
+    assert GENERIC.zero() == LaurentScalar(0) and GENERIC.one() == LaurentScalar(1)
     dom = root_of_unity(3)
     assert dom.neg_q_power(-1) == CyclotomicScalar(3, (0, 0, -1))
     assert dom.parse("1 + q") == CyclotomicScalar(3, (1, 1))
+    with pytest.raises(ValueError, match="non-integer"):
+        GENERIC.parse("1/2 + q")
     assert str(dom) == "root-of-unity p=3"
     assert not dom.contains(q)
     assert GENERIC.contains(q)
+    # every construction path of a residue agrees with specialize
+    for p in (3, 4, 5, 6):
+        dom = root_of_unity(p)
+        assert dom.zero() == CyclotomicScalar(p) == specialize(LaurentScalar(0), p)
+        assert dom.from_int(-7) == CyclotomicScalar(p, (-7,)) == specialize(LaurentScalar(-7), p)
+        for e in range(-2 * p, 2 * p + 1):
+            for power in ("q_power", "neg_q_power"):
+                generic = getattr(GENERIC, power)(e)
+                assert getattr(dom, power)(e) == specialize(generic, p) == \
+                    dense_mod_p_fold(generic, p), (p, e, power)
+
+
+def test_wide_exponent_span_is_rejected():
+    with pytest.raises(ValueError, match="span of 1000001"):
+        LaurentScalar({0: 1, 10**6: 1})
+    for domain in (GENERIC, root_of_unity(3)):
+        with pytest.raises(ValueError, match="span of 1000001"):
+            domain.parse("1 + q^1000000")
+        widest = domain.from_int(1) + domain.q_power(MAX_SPAN - 1)
+        assert domain.parse(f"1 + q^{MAX_SPAN - 1}") == widest
+
+
+def test_pickle_and_deepcopy_keep_value_hash_and_str():
+    for x in (LaurentScalar({-2: 3, 0: -1, 4: 1}), CyclotomicScalar(5, (Fraction(1, 2), 3, -1)),
+              GENERIC.one(), root_of_unity(4).one()):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(y) is type(x)
+            assert y == x and hash(y) == hash(x) and str(y) == str(x)
 
 
 def test_domain_rejects_small_p():
@@ -191,7 +236,7 @@ def test_specialize_homomorphism_stays_integral(x, y, z, p):
 
 def test_integer_residues_keep_integral_coeffs():
     x = CyclotomicScalar(5, (3, -1, 0, 7, 2, 9, -4))  # degree 6 reduces below 4
-    y = CyclotomicScalar.q_power(5, 3) - 2
+    y = root_of_unity(5).q_power(3) - 2
     for value in (x, y, x + y, x - y, x * y, x * x * y, -x, 3 * x, x + 1):
         assert is_integral(value)
     assert not is_integral(x.inverse())
@@ -218,18 +263,18 @@ def test_scalar_equal_to_an_int_hashes_as_the_int(p, c, r):
     # c plus a multiple of Phi_p is the residue c
     residue = specialize(LaurentScalar(c) + cyclotomic_polynomial(p) * r, p)
     for x in (LaurentScalar(c), LaurentScalar({0: c}), residue,
-              CyclotomicScalar.from_int(p, c), CyclotomicScalar(p, (Fraction(2 * c, 2),))):
+              root_of_unity(p).from_int(c), CyclotomicScalar(p, (Fraction(2 * c, 2),))):
         assert x == c
         assert hash(x) == hash(c)
         assert {x: True}.get(c) and {c: True}.get(x)
-    for x in (LaurentScalar(c) + q, residue + CyclotomicScalar.q_power(p, 1)):
+    for x in (LaurentScalar(c) + q, residue + root_of_unity(p).q()):
         assert x != c and hash(x) == hash(x)
 
 
 @given(rational_residues())
 def test_rational_residue_parse_roundtrip(x):
-    assert CyclotomicScalar.parse(str(x), x.p) == x
-    assert hash(CyclotomicScalar.parse(str(x), x.p)) == hash(x)
+    assert root_of_unity(x.p).parse(str(x)) == x
+    assert hash(root_of_unity(x.p).parse(str(x))) == hash(x)
 
 
 @given(rational_residues(), st.integers(min_value=1, max_value=30))
@@ -254,6 +299,11 @@ def test_float_coefficients_rejected():
     for bad in (1.5, Fraction(1, 2), "1", {1.5: 1}, {Fraction(2, 1): 1}):
         with pytest.raises(TypeError):
             LaurentScalar(bad)
+    for domain in (GENERIC, root_of_unity(3)):
+        for factory, bad in ((domain.from_int, 1.5), (domain.q_power, 1.5),
+                             (domain.neg_q_power, Fraction(2, 1))):
+            with pytest.raises(TypeError):
+                factory(bad)
 
 
 @given(laurent_scalars, laurent_scalars, st.integers(-5, 5), ORDERS)
