@@ -199,9 +199,15 @@ class _Echelon:
 
 def rank(m: Matrix) -> int:
     """Exact rank over a field domain, reduced along the shorter side: the
-    stored columns, or the rows of a tall matrix as dicts over the columns."""
+    stored columns, or the rows of a tall matrix as dicts over the columns,
+    gathered from the stored nonzeros."""
     _require_field(m.domain)
-    vectors = [dict(enumerate(row)) for row in m.entries] if m.rows > m.cols else m._columns
+    vectors = m._columns
+    if m.rows > m.cols:
+        vectors = [{} for _ in range(m.rows)]
+        for c, column in enumerate(m._columns):
+            for r, x in column.items():
+                vectors[r][c] = x
     echelon = _Echelon()
     return sum(echelon.add(v) for v in vectors)
 

@@ -202,13 +202,11 @@ def find_submodule_generators(lam: Partition, mu: Partition, p: int) -> tuple[Sp
     generator of S^mu, hence an irreducible submodule labelled mu; an
     empty kernel certifies there is none.
     """
-    if p < 3:
-        raise ValueError(f"root-of-unity order must be >= 3, got {p}")
+    domain = root_of_unity(p)
     if lam.n != mu.n:
         raise ValueError(f"shapes {lam} and {mu} partition different n")
     if not is_p_regular(mu, p):
         raise ValueError(f"candidate shape {mu} is not {p}-regular")
-    domain = root_of_unity(p)
     module = specht_module(lam, domain)
     elements = list(column_elements(mu)) + list(garnir_elements(mu))
     maps = [partial(module.apply_element, e.terms(domain)) for e in elements]

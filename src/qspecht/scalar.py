@@ -26,7 +26,8 @@ zero, integers, powers of q and `parse` are `_make` calls on that unit.
 input and hand it to the same `_make`.  Coefficients must be ints (or, for
 residues, Fractions), and Laurent exponents ints; anything else, a float
 included, raises TypeError.  An outside exponent span of more than
-`MAX_SPAN` coefficients raises ValueError, as storage grows with the span.
+`MAX_SPAN` coefficients raises ValueError, as storage grows with the span,
+and so does a root-of-unity order above `MAX_ORDER`.
 
 Scalars are immutable canonical values, so equality is decidable.  A scalar
 computes its hash once, on first use, and keeps it in a slot; a scalar equal
@@ -49,6 +50,9 @@ from typing import Union
 # the widest exponent span, in coefficients, accepted from outside input;
 # the package's own exponents stay within about n^2
 MAX_SPAN = 2**16
+# the largest root-of-unity order: Phi_p and the reduction modulo it grow
+# with p, and H_n(q) is already semisimple at every order p > n
+MAX_ORDER = 1024
 
 
 def _format_terms(items) -> str:
@@ -364,9 +368,9 @@ def _cyclotomic_coeffs(p: int) -> tuple[int, ...]:
 
 
 def cyclotomic_polynomial(p: int) -> LaurentScalar:
-    """The p-th cyclotomic polynomial as a Laurent scalar (p >= 2)."""
-    if p < 2:
-        raise ValueError(f"cyclotomic polynomial needs p >= 2, got {p}")
+    """The p-th cyclotomic polynomial as a Laurent scalar (2 <= p <= MAX_ORDER)."""
+    if not 2 <= p <= MAX_ORDER:
+        raise ValueError(f"cyclotomic polynomial needs 2 <= p <= MAX_ORDER = {MAX_ORDER}, got {p}")
     return GENERIC._unit._make(0, list(_cyclotomic_coeffs(p)), 1)
 
 
@@ -533,8 +537,9 @@ class ScalarDomain:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and self.p < 3:
-            raise ValueError(f"root-of-unity order must be >= 3, got {self.p}")
+        if self.p is not None and not 3 <= self.p <= MAX_ORDER:
+            raise ValueError(f"root-of-unity order must be >= 3 and <= MAX_ORDER = {MAX_ORDER}, "
+                             f"got {self.p}")
         unit = object.__new__(LaurentScalar if self.p is None else CyclotomicScalar)
         unit._p, unit._low, unit._coeffs, unit._den = self.p, 0, (1,), 1
         object.__setattr__(self, "_unit", unit)

@@ -22,12 +22,12 @@ different Specht module is what the root-of-unity submodule search uses.
 
 `SpechtModule(shape, domain)` holds all per-shape data: the standard-tableau
 `basis` and its `index`, the memo of column-sorted non-standard tableaux,
-the action table of h_i on each basis vector, the action of (scalar, word)
-sums, and matrix building; vectors inside it are keyed by basis position,
-and every sum of scaled expansions is one `scalar.fold`.  Straightening
-draws its coefficients from a few signed powers of q, so the module keeps a
-product table and a sum table: the Garnir solve and the action table look
-each product and sum up there, compute it once, and share the scalar.
+the action table of h_i on each basis vector and the action of (scalar,
+word) sums; vectors inside it are keyed by basis position, and every sum
+of scaled expansions is one `scalar.fold`.  Straightening draws its
+coefficients from a few signed powers of q, so the module keeps a product
+table and a sum table: the Garnir solve and the action table look each
+product and sum up there, compute it once, and share the scalar.
 The public functions take their module from `specht_module`, which keeps the
 module of the most recent (shape, domain) only; `specht_module.cache_clear()`
 frees it, its memo and its tables.
@@ -51,14 +51,6 @@ from .combinat import (
 )
 from .linalg import Matrix
 from .scalar import GENERIC, ScalarDomain, fold
-
-TOPMOST = "topmost"
-BOTTOMMOST = "bottommost"
-# which row descent of a column-sorted tableau a Garnir step removes: the
-# first or the last in reading order (top to bottom, left to right), as the
-# step through the row neighbours in that order
-_DESCENT = {TOPMOST: 1, BOTTOMMOST: -1}
-
 
 @dataclass(frozen=True)
 class SpechtVector:
@@ -205,7 +197,7 @@ def garnir_relation_terms(t: Tableau, row: int, col: int,
 
 
 class SpechtModule:
-    """S^shape over one scalar domain: basis, straightening, the action, matrices.
+    """S^shape over one scalar domain: basis, straightening and the action.
 
     `basis` lists the standard tableaux in basis order and `index` inverts
     it; both are built on first use.  Terms are dicts from basis positions
@@ -215,8 +207,9 @@ class SpechtModule:
     the cost of a sign, and `memo` maps each column-sorted non-standard
     word straightened so far to its expansion.  `image(i, j)`, the
     expansion of h_i on basis vector j, is computed once and kept in the
-    action table, which every action and matrix reads.  `policy` picks the
-    row descent each Garnir step removes; the expansions do not depend on it.
+    action table, which every action and generator matrix reads.  Each
+    Garnir step removes the first row descent in reading order (top to
+    bottom, left to right).
 
     `products` maps each pair (a, b) multiplied in straightening to a * b,
     and each Garnir exponent e to -(-q)^e, the scale of a candidate e
@@ -225,20 +218,17 @@ class SpechtModule:
     on general vectors and in elimination rarely repeat.
     """
 
-    def __init__(self, shape: Partition, domain: ScalarDomain, policy: str = TOPMOST):
+    def __init__(self, shape: Partition, domain: ScalarDomain):
         self.shape = shape
         self.domain = domain
-        if policy not in _DESCENT:
-            raise ValueError(f"unknown policy {policy!r}; use {TOPMOST!r} or {BOTTOMMOST!r}")
         self.memo: dict[tuple[int, ...], tuple] = {}
         self._images: dict[tuple[int, int], tuple] = {}
         starts = _column_starts(shape.column_heights())
         self._columns = [(a, b) for a, b in zip(starts, starts[1:]) if b - a > 1]
         # (left cell, start of the next column, right cell) in the column word
-        # for each pair of row neighbours, in the order the policy tries them
-        neighbours = [(starts[c] + r, starts[c + 1], starts[c + 1] + r)
-                      for r, part in enumerate(shape.parts) for c in range(part - 1)]
-        self._neighbours = neighbours[::_DESCENT[policy]]
+        # for each pair of row neighbours, in reading order
+        self._neighbours = [(starts[c] + r, starts[c + 1], starts[c + 1] + r)
+                            for r, part in enumerate(shape.parts) for c in range(part - 1)]
         self._zero, self._one, self._q = domain.zero(), domain.one(), domain.q()
         self._q_minus_1 = self._q - self._one
         self.products: dict = {}
@@ -366,12 +356,6 @@ class SpechtModule:
             coords[j] = c
         return tuple(coords)
 
-    def matrix(self, act) -> Matrix:
-        """Matrix of a linear action given on terms; column j is the image
-        of the j-th standard basis vector."""
-        return Matrix.from_columns(self.domain, len(self.basis),
-                                   [act({j: self._one}) for j in range(len(self.basis))])
-
     def check_equalities(self, equalities, starts) -> list[tuple[str, bool]]:
         """Check each (name, lhs, rhs) of (scalar, word) sums by applying both
         sides to every start vector."""
@@ -388,15 +372,9 @@ def specht_module(shape: Partition, domain: ScalarDomain) -> SpechtModule:
     return SpechtModule(shape, domain)
 
 
-def straighten(v: TableauVector, policy: str = TOPMOST) -> SpechtVector:
-    """Rewrite a tableau vector in the standard basis.
-
-    The result is independent of the Garnir pair-selection policy; the
-    `policy` knob exists so tests can confirm that.  A policy other than
-    TOPMOST straightens in a module of its own, with a memo of its own.
-    """
-    module = (specht_module(v.shape, v.domain) if policy == TOPMOST
-              else SpechtModule(v.shape, v.domain, policy))
+def straighten(v: TableauVector) -> SpechtVector:
+    """Rewrite a tableau vector in the standard basis."""
+    module = specht_module(v.shape, v.domain)
     return SpechtVector(v.shape, v.domain, module.coords(module.straighten(v.terms)))
 
 
@@ -544,21 +522,6 @@ def garnir_element(shape: Partition, a: int) -> GarnirElement:
 
 def garnir_elements(shape: Partition) -> tuple[GarnirElement, ...]:
     return tuple(garnir_element(shape, a) for a in garnir_anchors(shape))
-
-
-def annihilator_matrix(element, shape_of_module: Partition,
-                       domain: ScalarDomain = GENERIC) -> Matrix:
-    """Matrix of a column/Garnir element acting on S^shape_of_module.
-
-    `element` may also be a raw iterable of (scalar, word) pairs.
-    """
-    element_terms = element.terms(domain) if hasattr(element, "terms") else tuple(element)
-    n = shape_of_module.n
-    for _, word in element_terms:
-        for i in word:
-            _check_generator_index(i, n)
-    module = specht_module(shape_of_module, domain)
-    return module.matrix(lambda terms: module.apply_element(element_terms, terms))
 
 
 def annihilator_checks(shape: Partition,

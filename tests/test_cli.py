@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,14 @@ def test_verify_rejects_p2(capsys):
     code, out, err = run(capsys, "verify", "--shape", "2,2", "--p", "2")
     assert code != 0
     assert "p must be >= 3" in err
+
+
+def test_verify_refuses_an_order_above_max_order_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--shape", "2,1", "--p", "1000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert err.startswith("error:") and "MAX_ORDER" in err
 
 
 @pytest.mark.parametrize("shape,p,expected", [

@@ -1,7 +1,7 @@
 import pytest
 
 from qspecht.combinat import Partition, Tableau, hook_count, superstandard
-from qspecht.linalg import Matrix, kernel
+from qspecht.linalg import joint_kernel
 from qspecht.roots import (
     TwoRowTableauView,
     admissible_multiplier,
@@ -18,9 +18,9 @@ from qspecht.roots import (
 from qspecht.scalar import root_of_unity
 from qspecht.specht import (
     SpechtVector,
-    annihilator_matrix,
     column_elements,
     garnir_elements,
+    specht_module,
 )
 
 
@@ -262,11 +262,18 @@ def test_composite_order_oracles_agree(p):
 
 
 def stacked_reference(lam, mu, p):
-    """The joint kernel as the kernel of every annihilator matrix stacked."""
+    """The joint kernel as the kernel of one map that stacks every
+    annihilator's image: image key k of annihilator a becomes a * dim + k."""
     domain = root_of_unity(p)
-    rows = [row for e in list(column_elements(mu)) + list(garnir_elements(mu))
-            for row in annihilator_matrix(e, lam, domain).entries]
-    return [v.column_coords() for v in kernel(Matrix(domain, rows))]
+    module = specht_module(lam, domain)
+    dim = len(module.basis)
+    elements = [e.terms(domain) for e in list(column_elements(mu)) + list(garnir_elements(mu))]
+
+    def stacked(v):
+        return {a * dim + k: x for a, terms in enumerate(elements)
+                for k, x in module.apply_element(terms, v).items()}
+
+    return [module.coords(v) for v in joint_kernel(domain, dim, [stacked])]
 
 
 def oracle_cases():

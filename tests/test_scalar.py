@@ -9,6 +9,7 @@ from qspecht.scalar import (
     GENERIC,
     CyclotomicScalar,
     LaurentScalar,
+    MAX_ORDER,
     MAX_SPAN,
     ScalarDomain,
     cyclotomic_polynomial,
@@ -209,6 +210,16 @@ def test_pickle_and_deepcopy_keep_value_hash_and_str():
 def test_domain_rejects_small_p():
     with pytest.raises(ValueError):
         ScalarDomain(2)
+
+
+def test_orders_above_max_order_are_refused_at_once():
+    assert root_of_unity(MAX_ORDER).one() == 1
+    with pytest.raises(ValueError, match=f"<= MAX_ORDER = {MAX_ORDER}, got {MAX_ORDER + 1}"):
+        root_of_unity(MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        cyclotomic_polynomial(10**6)
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        specialize(q, MAX_ORDER + 1)
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)

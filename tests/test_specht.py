@@ -15,11 +15,9 @@ from qspecht.combinat import (
 from qspecht.linalg import Matrix, specialize_matrix
 from qspecht.scalar import GENERIC, LaurentScalar, root_of_unity
 from qspecht.specht import (
-    BOTTOMMOST,
     SpechtModule,
     SpechtVector,
     TableauVector,
-    annihilator_matrix,
     apply_generator,
     apply_word,
     character_trace,
@@ -155,17 +153,12 @@ def test_with_swapped_rejects_entries_outside_the_tableau():
 
 
 @given(random_filling())
-def test_straighten_policy_confluence(t):
-    v = TableauVector.single(t, GENERIC)
-    assert straighten(v) == straighten(v, policy=BOTTOMMOST)
-
-
-def test_unknown_policy_is_a_value_error():
-    v = TableauVector.single(Tableau.parse("2,1,3/4,5"), GENERIC)
-    with pytest.raises(ValueError, match="'sideways'.*'topmost' or 'bottommost'"):
-        straighten(v, policy="sideways")
-    with pytest.raises(ValueError, match="'topmost' or 'bottommost'"):
-        SpechtModule(S32, GENERIC, "sideways")
+def test_every_garnir_relation_straightens_to_zero(t):
+    # straightening removes the first row descent; the relation at every
+    # other descent must vanish all the same
+    for r, c in row_descents(t):
+        relation = TableauVector(t.shape, GENERIC, garnir_relation_terms(t, r, c))
+        assert straighten(relation).is_zero(), (t, r, c)
 
 
 # -------------------------------------------------------------------- action
@@ -428,19 +421,10 @@ def test_annihilator_matrices_kill_the_submodule_vector():
         {Tableau.parse("1,3,5/2,4"): domain.one(), Tableau.parse("1,3,4/2,5"): domain.one()},
         domain,
     )
-    terms = dict(enumerate(v.coords))
+    module = specht_module(S32, domain)
+    terms = module.terms(v.coords)
     for element in list(column_elements(mu)) + list(garnir_elements(mu)):
-        assert annihilator_matrix(element, S32, domain).apply(terms) == {}, str(element)
-
-
-def test_annihilator_matrix_zero_element():
-    m = annihilator_matrix((), S32, GENERIC)
-    assert m == Matrix.zero(GENERIC, 5, 5)
-
-
-def test_annihilator_matrix_index_range():
-    with pytest.raises(ValueError):
-        annihilator_matrix(garnir_element(Partition((6, 3, 3, 1)), 11), S32, GENERIC)
+        assert module.apply_element(element.terms(domain), terms) == {}, str(element)
 
 
 # ------------------------------------------------------------------- traces
@@ -459,7 +443,9 @@ def test_fresh_module_matches_registry(parts, p):
     shape = Partition(parts)
     domain = GENERIC if p is None else root_of_unity(p)
     fresh = SpechtModule(shape, domain)
-    fresh_mats = [fresh.matrix(lambda terms, i=i: fresh.act_generator(i, terms))
+    dim = len(fresh.basis)
+    fresh_mats = [Matrix.from_columns(domain, dim, [fresh.act_generator(i, {j: domain.one()})
+                                                    for j in range(dim)])
                   for i in range(1, shape.n)]
     specht_module.cache_clear()
     assert fresh_mats == [generator_matrix(shape, i, domain) for i in range(1, shape.n)]
@@ -530,20 +516,6 @@ def test_generator_matrix_columns_are_generator_images(p):
                 columns = [apply_generator(i, SpechtVector.basis_vector(t, domain)).coords
                            for t in reversed(basis)][::-1]
                 assert matrix.entries == tuple(zip(*columns)), (parts, i)
-
-
-def test_bottommost_straighten_leaves_registry_memo_alone():
-    t = Tableau.parse("2,1,3/4,5")
-    v = TableauVector.single(t, GENERIC)
-    topmost = straighten(v)
-    module = specht_module(S32, GENERIC)
-    memo_size = len(module.memo)
-    tables = dict(module.products), dict(module.sums)
-    assert memo_size > 0 and module.products
-    assert straighten(v, policy=BOTTOMMOST) == topmost
-    assert specht_module(S32, GENERIC) is module
-    assert len(module.memo) == memo_size
-    assert (module.products, module.sums) == tables
 
 
 @pytest.mark.parametrize("p", [None, 3, 4], ids=["generic", "p3", "p4"])
