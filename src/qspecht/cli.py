@@ -51,8 +51,6 @@ def _domain_fields(domain: ScalarDomain) -> dict:
 def cmd_matrix(args) -> dict:
     shape = Partition.parse(args.shape)
     domain = _domain_from_p(args.p)
-    if not 1 <= args.gen <= shape.n - 1:
-        raise CommandError(f"generator index {args.gen} out of range 1..{shape.n - 1}")
     matrix = generator_matrix(shape, args.gen, domain)
     return {
         "command": "matrix",

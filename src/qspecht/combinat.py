@@ -7,7 +7,7 @@ Conventions used throughout the package:
 * the column reading word lists entries down the first column, then down
   each successive column; "i precedes j" refers to this word;
 * the superstandard tableau of a shape is filled down successive columns
-  left to right;
+  left to right, so its column word is 1..n;
 * the standard-tableau basis order compares the row index of n, then of
   n-1, and so on (smaller row first).  This is the order the generator
   matrices are written in.
@@ -146,6 +146,23 @@ class Tableau:
         return "/".join(",".join(str(v) for v in row) for row in self.rows)
 
 
+def _column_starts(heights: tuple[int, ...]) -> list[int]:
+    """The offset of each column in the column reading word, then the word's length."""
+    starts = [0]
+    for height in heights:
+        starts.append(starts[-1] + height)
+    return starts
+
+
+def _tableau_of_word(word: tuple[int, ...], heights: tuple[int, ...]) -> Tableau:
+    """The tableau of the given column heights whose column word is word;
+    word must be a permutation of the column word of a valid tableau."""
+    starts = _column_starts(heights)
+    return Tableau._unchecked(tuple(
+        tuple(word[starts[c] + r] for c in range(len(heights)) if heights[c] > r)
+        for r in range(heights[0] if heights else 0)))
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection on {1..n}; images[i-1] = w(i)."""
@@ -205,24 +222,15 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
 
 
 def superstandard(shape: Partition) -> Tableau:
-    """The standard tableau filled down successive columns left to right."""
-    heights = shape.column_heights()
-    grid = [[0] * part for part in shape.parts]
-    entry = 1
-    for c, height in enumerate(heights):
-        for r in range(height):
-            grid[r][c] = entry
-            entry += 1
-    return Tableau(tuple(tuple(row) for row in grid))
+    """The standard tableau filled down successive columns left to right:
+    its column word is 1..n."""
+    return _tableau_of_word(tuple(range(1, shape.n + 1)), shape.column_heights())
 
 
 def precedes(i: int, j: int, t: Tableau) -> bool:
     """True iff i occurs before j in the column reading word of t."""
-    if i == j:
-        return False
-    ri, ci = t.position(i)
-    rj, cj = t.position(j)
-    return (ci, ri) < (cj, rj)
+    word = t.column_word()
+    return word.index(i) < word.index(j)
 
 
 def word_of_tableau(t: Tableau) -> Permutation:

@@ -104,15 +104,19 @@ def _dimension_sum(l1: int, l2: int, p: int) -> int:
     return sum(hook_count(Partition((l1 + j * p, l2 - j * p))) for j in range(l2 // p + 1))
 
 
+def _submodule_parts(l1: int, l2: int, p: int) -> tuple[int, int]:
+    """The parts of the submodule label mu of a reducible (l1, l2) at order p."""
+    r = (l1 - l2) % p
+    return l1 + p - 1 - r, l2 - p + 1 + r
+
+
 def irreducible_dimension(shape: Partition, p: int) -> int:
     """Dimension of the irreducible quotient of S^shape at order p."""
     k = admissible_multiplier(shape, p)
     if k is None:
         return hook_count(shape)
     l1, l2 = _two_row_parts(shape)
-    r = (l1 - l2) % p
-    m1, m2 = l1 + p - 1 - r, l2 - p + 1 + r
-    return _dimension_sum(l1, l2, p) - _dimension_sum(m1, m2, p)
+    return _dimension_sum(l1, l2, p) - _dimension_sum(*_submodule_parts(l1, l2, p), p)
 
 
 def analyze(shape: Partition, p: int) -> DecompositionReport:
@@ -124,8 +128,7 @@ def analyze(shape: Partition, p: int) -> DecompositionReport:
         return DecompositionReport(
             shape=shape, p=p, reducible=False, specht_dim=dim, quotient_dim=dim
         )
-    r = (l1 - l2) % p
-    mu = Partition((l1 + p - 1 - r, l2 - p + 1 + r))
+    mu = Partition(_submodule_parts(l1, l2, p))
     strip = next(
         (s for s in boundary_strips(shape)
          if s.start_row == 1 and s.length == k * p and 1 <= s.second_row_boxes <= p - 1),

@@ -77,6 +77,8 @@ def _format_terms(items) -> str:
 def _scan_terms(text: str) -> list[tuple[Fraction, int]]:
     """Tokenize the scalar grammar into (coefficient, exponent) pairs."""
     s = text.strip()
+    if not s:
+        raise ValueError(f"cannot parse scalar {text!r}")
     if s == "0":
         return []
     terms: list[tuple[Fraction, int]] = []
@@ -85,8 +87,6 @@ def _scan_terms(text: str) -> list[tuple[Fraction, int]]:
     while pos < n:
         while pos < n and s[pos] == " ":
             pos += 1
-        if pos >= n:
-            break
         sign = 1
         if s[pos] in "+-":
             if first and s[pos] == "+":
@@ -119,7 +119,10 @@ def _scan_terms(text: str) -> list[tuple[Fraction, int]]:
                 exponent = int(s[estart:pos])
         if not coeff_text and not has_q:
             raise ValueError(f"cannot parse scalar {text!r}")
-        coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
+        try:
+            coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {text!r}") from None
         terms.append((sign * coeff, exponent))
         first = False
     return terms

@@ -15,10 +15,10 @@ The generator h_i acts on v_t through the swap x of i and i+1:
 v_x if i precedes i+1 in the column reading word of t, and
 q v_x + (q-1) v_t otherwise.
 
-The column elements 1 + h_a and the Garnir elements
-sum_d (-q)^{-l(d)} h(d) (d over minimal-length coset representatives)
-annihilate the superstandard generator vector; evaluating them inside a
-different Specht module is what the root-of-unity submodule search uses.
+The column elements 1 + h_a and the Garnir elements sum_d (-q)^{-l(d)} h(d)
+(d over minimal-length coset representatives) annihilate the superstandard
+vector; the root-of-unity submodule search evaluates them in another module.
+One table, `_garnir_pools`, places every Garnir pool in the column word.
 
 `SpechtModule(shape, domain)` holds all per-shape data: the standard-tableau
 `basis` and its `index`, the memo of column-sorted non-standard tableaux,
@@ -44,6 +44,8 @@ from .combinat import (
     Partition,
     Permutation,
     Tableau,
+    _column_starts,
+    _tableau_of_word,
     enumerate_standard,
     hook_count,
     reduced_word,
@@ -121,21 +123,13 @@ class TableauVector:
         return cls(t.shape, domain, {t: domain.one()})
 
 
-def _column_starts(heights: tuple[int, ...]) -> list[int]:
-    """The offset of each column in the column reading word, then the word's length."""
-    starts = [0]
-    for height in heights:
-        starts.append(starts[-1] + height)
-    return starts
-
-
-def _tableau_of_word(word: tuple[int, ...], heights: tuple[int, ...]) -> Tableau:
-    """The tableau of the given column heights whose column word is word;
-    word must be a permutation of the column word of a valid tableau."""
-    starts = _column_starts(heights)
-    return Tableau._unchecked(tuple(
-        tuple(word[starts[c] + r] for c in range(len(heights)) if heights[c] > r)
-        for r in range(heights[0] if heights else 0)))
+def _garnir_pools(shape: Partition) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """Each pair of row neighbours (row, col), (row, col + 1), in reading
+    order, mapped to its Garnir pool (start, split, stop) in the column word:
+    the pool is word[start:stop], its first segment word[start:split]."""
+    starts = _column_starts(shape.column_heights())
+    return {(r, c): (starts[c] + r, starts[c + 1], starts[c + 1] + r + 1)
+            for r, part in enumerate(shape.parts) for c in range(part - 1)}
 
 
 def _column_sorted(word: tuple[int, ...], columns) -> tuple[int, tuple[int, ...]]:
@@ -187,13 +181,13 @@ def garnir_relation_terms(t: Tableau, row: int, col: int,
     normalized so that t itself carries coefficient 1.  The coefficients
     sum against the tableau vectors to zero in the module.
     """
-    if t.rows[row][col] <= t.rows[row][col + 1]:
+    pool = _garnir_pools(t.shape).get((row, col))
+    word = t.column_word()
+    if pool is None or word[pool[0]] <= word[pool[2] - 1]:
         raise ValueError(f"no descent at row {row}, column {col} of {t}")
     heights = t.shape.column_heights()
-    starts = _column_starts(heights)
-    return {_tableau_of_word(word, heights): domain.neg_q_power(exponent)
-            for word, exponent in _garnir_block(t.column_word(), starts[col] + row,
-                                                starts[col + 1], starts[col + 1] + row + 1)}
+    return {_tableau_of_word(candidate, heights): domain.neg_q_power(exponent)
+            for candidate, exponent in _garnir_block(word, *pool)}
 
 
 class SpechtModule:
@@ -225,10 +219,7 @@ class SpechtModule:
         self._images: dict[tuple[int, int], tuple] = {}
         starts = _column_starts(shape.column_heights())
         self._columns = [(a, b) for a, b in zip(starts, starts[1:]) if b - a > 1]
-        # (left cell, start of the next column, right cell) in the column word
-        # for each pair of row neighbours, in reading order
-        self._neighbours = [(starts[c] + r, starts[c + 1], starts[c + 1] + r)
-                            for r, part in enumerate(shape.parts) for c in range(part - 1)]
+        self._pools = tuple(_garnir_pools(shape).values())
         self._zero, self._one, self._q = domain.zero(), domain.one(), domain.q()
         self._q_minus_1 = self._q - self._one
         self.products: dict = {}
@@ -266,11 +257,10 @@ class SpechtModule:
 
     def _garnir(self, word: tuple[int, ...]) -> tuple:
         """Solve the Garnir relation of a column-sorted non-standard word for it."""
-        left, split, right = next(cells for cells in self._neighbours
-                                  if word[cells[0]] > word[cells[2]])
+        pool = next(pool for pool in self._pools if word[pool[0]] > word[pool[2] - 1])
         products, sums = self.products, self.sums
         acc: dict[int, object] = {}
-        for candidate, exponent in _garnir_block(word, left, split, right + 1):
+        for candidate, exponent in _garnir_block(word, *pool):
             if candidate != word:
                 scale = products.get(exponent)
                 if scale is None:
@@ -479,44 +469,28 @@ class GarnirElement:
 
 def column_elements(shape: Partition) -> tuple[ColumnElement, ...]:
     """One element per superstandard entry not at the bottom of its column."""
-    base = superstandard(shape)
-    heights = shape.column_heights()
-    anchors = []
-    for c, height in enumerate(heights):
-        for r in range(height - 1):
-            anchors.append(base.entry(r, c))
-    return tuple(ColumnElement(a) for a in sorted(anchors))
+    ends = _column_starts(shape.column_heights())[1:]
+    return tuple(ColumnElement(a) for a in range(1, shape.n + 1) if a not in ends)
 
 
 def garnir_anchors(shape: Partition) -> tuple[int, ...]:
     """Superstandard entries not at the end of their row."""
-    base = superstandard(shape)
-    return tuple(sorted(v for row in base.rows for v in row[:-1]))
+    return tuple(sorted(start + 1 for start, _, _ in _garnir_pools(shape).values()))
 
 
 def garnir_element(shape: Partition, a: int) -> GarnirElement:
-    """The Garnir annihilator anchored at the superstandard entry a."""
-    base = superstandard(shape)
-    r, c = base.position(a)
-    if c + 1 >= len(base.rows[r]):
-        raise ValueError(f"entry {a} is at the end of its row in {base}")
-    d = base.entry(r, c + 1)
-    heights = shape.column_heights()
-    b = base.entry(heights[c] - 1, c)
-    # the interval {a..d} splits as {a..b} and {b+1..d}; minimal coset
-    # representatives are increasing on both blocks
-    left_size = b - a + 1
-    span = list(range(a, d + 1))
-    words = []
-    for left_image in combinations(span, left_size):
-        right_image = [v for v in span if v not in left_image]
-        images = list(range(1, shape.n + 1))
-        for offset, v in enumerate(left_image):
-            images[a + offset - 1] = v
-        for offset, v in enumerate(right_image):
-            images[b + 1 + offset - 1] = v
-        words.append(reduced_word(Permutation(tuple(images))))
-    words.sort(key=lambda w: (len(w), w))
+    """The Garnir annihilator anchored at the superstandard entry a.
+
+    In the superstandard column word 1..n the pool of a is {a..d}, split
+    after b; its redistributions are the minimal-length coset
+    representatives of S_{a..b} x S_{b+1..d}, and the words reduce them.
+    """
+    pool = next((pool for pool in _garnir_pools(shape).values() if pool[0] == a - 1), None)
+    if pool is None:
+        raise ValueError(f"entry {a} is not a Garnir anchor of {superstandard(shape)}")
+    words = sorted((reduced_word(Permutation(word)) for word, _ in
+                    _garnir_block(tuple(range(1, shape.n + 1)), *pool)),
+                   key=lambda w: (len(w), w))
     return GarnirElement(anchor=a, words=tuple(words))
 
 

@@ -199,6 +199,14 @@ def test_wide_exponent_span_is_rejected():
         assert domain.parse(f"1 + q^{MAX_SPAN - 1}") == widest
 
 
+def test_malformed_text_is_a_value_error_only():
+    # a zero denominator has no value, and no scalar renders as empty text
+    for domain in (GENERIC, root_of_unity(3)):
+        for text in ("1/0", "1 + 1/0q", "", "   "):
+            with pytest.raises(ValueError, match="scalar"):
+                domain.parse(text)
+
+
 def test_pickle_and_deepcopy_keep_value_hash_and_str():
     for x in (LaurentScalar({-2: 3, 0: -1, 4: 1}), CyclotomicScalar(5, (Fraction(1, 2), 3, -1)),
               GENERIC.one(), root_of_unity(4).one()):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +98,17 @@ def test_straighten_garnir_chain():
 def test_garnir_relation_terms_requires_descent():
     with pytest.raises(ValueError):
         garnir_relation_terms(superstandard(S32), 0, 0)
+    # cells that are not two row neighbours, negative indices included, have
+    # no relation; they once returned a false one without an error
+    t = Tableau.parse("1,2,5/4,3")
+    for row, col in [(-1, 0), (0, -1), (0, 2), (2, 0), (1, 1)]:
+        with pytest.raises(ValueError, match="no descent"):
+            garnir_relation_terms(t, row, col)
+    with pytest.raises(ValueError, match="no descent"):
+        garnir_relation_terms(Tableau.parse("1,5,4/2,3"), 0, -2)
+    relation = garnir_relation_terms(t, 1, 0)
+    assert {str(u): str(c) for u, c in relation.items()} == {
+        "1,2,5/4,3": "1", "1,2,5/3,4": "-q", "1,3,5/2,4": "q^2"}
 
 
 def test_garnir_relation_six_tableaux():
@@ -133,10 +145,11 @@ def row_descents(t):
 
 @given(random_filling(), st.data())
 def test_internally_built_tableaux_are_valid(t, data):
-    # swaps, the basis and Garnir candidates skip validation: each must be a
-    # tableau that validation accepts, with rows stored as tuples
+    # swaps, the superstandard tableau, the basis and Garnir candidates skip
+    # validation: each must be a tableau that validation accepts, with rows
+    # stored as tuples
     a, b = (data.draw(st.integers(min_value=1, max_value=t.n)) for _ in range(2))
-    built = [t.with_swapped(a, b), *enumerate_standard(t.shape)]
+    built = [t.with_swapped(a, b), superstandard(t.shape), *enumerate_standard(t.shape)]
     for r, c in row_descents(t):
         relation = garnir_relation_terms(t, r, c, GENERIC)
         built.extend(relation)
@@ -399,9 +412,39 @@ def test_garnir_element_term_count_is_binomial():
         assert len(garnir_element(shape, a).words) == comb(d - a + 1, b - a + 1)
 
 
+def reference_garnir_words(shape, a):
+    """The minimal-length coset representatives of S_{a..b} x S_{b+1..d}
+    (d the right neighbour of a, b the bottom of a's column in the
+    superstandard tableau): images increasing on both blocks, as reduced
+    words in (length, word) order."""
+    base = superstandard(shape)
+    r, c = base.position(a)
+    b, d = base.entry(shape.column_heights()[c] - 1, c), base.entry(r, c + 1)
+    words = []
+    for left in combinations(range(a, d + 1), b - a + 1):
+        images = list(range(1, shape.n + 1))
+        images[a - 1:d] = list(left) + [v for v in range(a, d + 1) if v not in left]
+        words.append(reduced_word(Permutation(tuple(images))))
+    return tuple(sorted(words, key=lambda w: (len(w), w)))
+
+
+def test_annihilators_match_the_superstandard_reference():
+    for n in range(1, 11):
+        for parts in all_partitions(n):
+            shape = Partition(parts)
+            base = superstandard(shape)
+            assert garnir_anchors(shape) == tuple(sorted(v for row in base.rows for v in row[:-1]))
+            for a in garnir_anchors(shape):
+                assert garnir_element(shape, a).words == reference_garnir_words(shape, a), (parts, a)
+            bottoms = {column[-1] for column in map(base.column, range(len(base.rows[0])))}
+            assert [e.anchor for e in column_elements(shape)] == \
+                [v for v in range(1, n + 1) if v not in bottoms], parts
+
+
 def test_garnir_element_row_end_rejected():
-    with pytest.raises(ValueError):
-        garnir_element(S32, 5)
+    for a in (0, 4, 5, 6):
+        with pytest.raises(ValueError):
+            garnir_element(S32, a)
 
 
 @pytest.mark.parametrize("parts", [(6, 3, 3, 1), (3, 2), (6,)])
