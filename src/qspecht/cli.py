@@ -37,11 +37,7 @@ class CommandError(Exception):
 
 
 def _domain_from_p(p: int | None) -> ScalarDomain:
-    if p is None:
-        return GENERIC
-    if p < 3:
-        raise CommandError(f"p must be >= 3, got {p}")
-    return root_of_unity(p)
+    return GENERIC if p is None else root_of_unity(p)
 
 
 def _domain_fields(domain: ScalarDomain) -> dict:

@@ -1,13 +1,15 @@
 """Exact linear algebra over the scalar domains.
 
 `Matrix` stores only its nonzero entries, and its products work over both
-domains.  Kernels, ranks and subspace closures need a field (a
-root-of-unity domain; specialize generic matrices first).  Vectors are
-sparse dicts {index: scalar} with no stored zeros, and kernels and closures
-act through linear maps on them, so nothing that is only applied to vectors
-becomes a matrix.  All share one incremental sparse RREF routine; kernel
-bases are echelon-normalized.  Every sparse sum, in products and in the
-echelon, goes through `scalar.fold`.
+domains.  Elimination runs only on sparse vectors, dicts {index: scalar}
+with no stored zeros, through one incremental sparse RREF routine.  It has
+two entry points: `joint_kernel`, the echelon-normalized basis of the
+vectors that linear maps send to zero (a matrix enters as its `apply`), and
+`closure_dimension`, the dimension of the smallest subspace that holds
+given vectors and is mapped into itself (with no maps, their rank).  Both
+need a field (a root-of-unity domain; specialize generic matrices first).
+Every sparse sum, in products and in the echelon, goes through
+`scalar.fold`.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ class Matrix:
             raise IndexError(f"index {key} out of range for a {rows}x{cols} matrix")
         return self._columns[c].get(r % rows, self.domain.zero())
 
-    def column_coords(self, c: int = 0) -> tuple:
-        column, zero = self._columns[c], self.domain.zero()
-        return tuple(column.get(r, zero) for r in range(self._rows))
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -164,7 +162,7 @@ def specialize_matrix(m: Matrix, p: int) -> Matrix:
 
 def _require_field(domain: ScalarDomain):
     if domain.is_generic:
-        raise ValueError("kernels, ranks and closures need a field domain; "
+        raise ValueError("kernels and closures need a field domain; "
                          "specialize at a root of unity first")
 
 
@@ -197,21 +195,6 @@ class _Echelon:
         return True
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank over a field domain, reduced along the shorter side: the
-    stored columns, or the rows of a tall matrix as dicts over the columns,
-    gathered from the stored nonzeros."""
-    _require_field(m.domain)
-    vectors = m._columns
-    if m.rows > m.cols:
-        vectors = [{} for _ in range(m.rows)]
-        for c, column in enumerate(m._columns):
-            for r, x in column.items():
-                vectors[r][c] = x
-    echelon = _Echelon()
-    return sum(echelon.add(v) for v in vectors)
-
-
 def joint_kernel(domain: ScalarDomain, dim: int, maps) -> tuple[dict, ...]:
     """Echelon-normalized basis of the vectors that every map sends to zero.
 
@@ -236,15 +219,10 @@ def joint_kernel(domain: ScalarDomain, dim: int, maps) -> tuple[dict, ...]:
     return tuple(span)
 
 
-def kernel(m: Matrix) -> tuple[Matrix, ...]:
-    """Echelon-normalized basis of the right null space, as column vectors."""
-    return tuple(Matrix.from_columns(m.domain, m.cols, [v])
-                 for v in joint_kernel(m.domain, m.cols, [m.apply]))
-
-
 def closure_dimension(domain: ScalarDomain, vectors, maps) -> int:
     """Dimension of the smallest subspace that contains the sparse vectors
-    and is mapped into itself by every map."""
+    and is mapped into itself by every map; with no maps, the rank of the
+    vectors."""
     _require_field(domain)
     echelon = _Echelon()
     queue = [v for v in vectors if echelon.add(v)]

@@ -89,8 +89,7 @@ def _two_row_parts(shape: Partition) -> tuple[int, int]:
 
 def admissible_multiplier(shape: Partition, p: int) -> int | None:
     """The unique k > 0 with l1-l2+2 <= kp <= min(l1+1, l1-l2+p), if any."""
-    if p < 3:
-        raise ValueError(f"root-of-unity order must be >= 3, got {p}")
+    root_of_unity(p)  # validates the order
     l1, l2 = _two_row_parts(shape)
     lo = l1 - l2 + 2
     hi = min(l1 + 1, l1 - l2 + p)

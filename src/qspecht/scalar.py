@@ -316,19 +316,6 @@ class LaurentScalar(_Polynomial):
     def terms(self) -> dict[int, int]:
         return {e: c for e, c in enumerate(self._coeffs, self._low) if c}
 
-    def __pow__(self, k: int):
-        if k < 0:
-            if len(self._coeffs) != 1:
-                raise ValueError("only monomial Laurent scalars are invertible")
-            (c,) = self._coeffs
-            if c not in (1, -1):
-                raise ValueError("only unit Laurent scalars are invertible")
-            return self._make(-self._low, [c], 1) ** -k
-        out = GENERIC.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __repr__(self):
         return f"LaurentScalar('{self}')"
 
@@ -541,7 +528,7 @@ class ScalarDomain:
 
     def __post_init__(self):
         if self.p is not None and not 3 <= self.p <= MAX_ORDER:
-            raise ValueError(f"root-of-unity order must be >= 3 and <= MAX_ORDER = {MAX_ORDER}, "
+            raise ValueError(f"root-of-unity order p must be >= 3 and <= MAX_ORDER = {MAX_ORDER}, "
                              f"got {self.p}")
         unit = object.__new__(LaurentScalar if self.p is None else CyclotomicScalar)
         unit._p, unit._low, unit._coeffs, unit._den = self.p, 0, (1,), 1

@@ -148,9 +148,12 @@ def test_verify_full_flag(capsys):
 
 
 def test_verify_rejects_p2(capsys):
-    code, out, err = run(capsys, "verify", "--shape", "2,2", "--p", "2")
-    assert code != 0
-    assert "p must be >= 3" in err
+    # matrix and decompose refuse the order through the same domain check
+    for argv in (["verify", "--shape", "2,2"], ["matrix", "--shape", "3,2", "--gen", "1"],
+                 ["decompose", "--shape", "5,4"]):
+        code, out, err = run(capsys, *argv, "--p", "2")
+        assert code == 2 and not out
+        assert "p must be >= 3" in err
 
 
 def test_verify_refuses_an_order_above_max_order_at_once(capsys):

@@ -7,8 +7,6 @@ from qspecht.linalg import (
     Matrix,
     closure_dimension,
     joint_kernel,
-    kernel,
-    rank,
     specialize_matrix,
 )
 from qspecht.scalar import GENERIC, LaurentScalar, root_of_unity
@@ -42,84 +40,6 @@ def test_dimension_and_domain_mismatch():
         a * b
     with pytest.raises(ValueError):
         a * Matrix.identity(P3, 2)
-
-
-def test_kernel_of_zero_matrix():
-    m = Matrix.zero(P3, 3, 3)
-    basis = kernel(m)
-    assert len(basis) == 3
-    assert basis[0].column_coords() == (cyc(1), cyc(0), cyc(0))
-
-
-def test_kernel_of_invertible_matrix_is_empty():
-    m = Matrix(P3, [[cyc(1), cyc(1)], [cyc(0), cyc(2)]])
-    assert kernel(m) == ()
-    assert rank(m) == 2
-
-
-def test_kernel_requires_field():
-    m = Matrix.identity(GENERIC, 2)
-    with pytest.raises(ValueError):
-        kernel(m)
-    with pytest.raises(ValueError):
-        rank(m)
-
-
-def test_rank_examples():
-    assert rank(Matrix.identity(P3, 4)) == 4
-    assert rank(Matrix.zero(P3, 3, 5)) == 0
-
-
-def test_kernel_vectors_are_exact_solutions():
-    m = Matrix(P3, [
-        [cyc(1), cyc(2), cyc(3)],
-        [cyc(2), cyc(4), cyc(6)],
-    ])
-    basis = kernel(m)
-    assert rank(m) + len(basis) == m.cols
-    for v in basis:
-        product = m * v
-        assert all(x.is_zero() for x in product.column_coords())
-
-
-small_cyc_matrices = st.lists(
-    st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
-    min_size=2, max_size=4,
-).map(lambda rows: Matrix(P3, [[cyc(x) for x in row] for row in rows]))
-
-
-@given(small_cyc_matrices)
-def test_rank_nullity_and_exactness(m):
-    basis = kernel(m)
-    assert rank(m) + len(basis) == m.cols
-    for v in basis:
-        assert all(x.is_zero() for x in (m * v).column_coords())
-
-
-def row_maps(m, cuts):
-    """The rows of m split at the cut points, each block as a map on vectors."""
-    bounds = [0, *sorted(cuts), m.rows]
-    blocks = [Matrix(m.domain, m.entries[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return [b.apply for b in blocks if b.rows]
-
-
-def shift(v):
-    """The cyclic shift e_k -> e_(k+1 mod 3) on sparse vectors."""
-    return {(k + 1) % 3: x for k, x in v.items()}
-
-
-@st.composite
-def cyc_matrices(draw):
-    p = draw(st.sampled_from([3, 4, 5]))
-    rows = draw(st.integers(min_value=0, max_value=6))
-    cols = draw(st.integers(min_value=0, max_value=5))
-    domain = root_of_unity(p)
-    entries = draw(st.lists(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2)),
-                                     min_size=cols, max_size=cols),
-                            min_size=rows, max_size=rows))
-    return Matrix.from_columns(domain, rows, [
-        {r: domain.from_int(row[c][0]) * domain.q_power(row[c][1]) for r, row in enumerate(entries)}
-        for c in range(cols)])
 
 
 def dense_rref(grid, cols):
@@ -161,16 +81,111 @@ def dense_kernel(domain, grid, cols):
     return tuple(basis)
 
 
+def kernel_of(m):
+    """The echelon-normalized kernel of m: `joint_kernel` with the one map m."""
+    return joint_kernel(m.domain, m.cols, [m.apply])
+
+
+def rank_of(m):
+    """The rank of m: `closure_dimension` of its columns with no maps."""
+    one = m.domain.one()
+    return closure_dimension(m.domain, [m.apply({c: one}) for c in range(m.cols)], ())
+
+
+def coords(domain, vectors, dim):
+    """Sparse vectors as dense coordinate tuples over 0..dim-1."""
+    zero = domain.zero()
+    return tuple(tuple(v.get(k, zero) for k in range(dim)) for v in vectors)
+
+
+def test_kernel_of_zero_matrix():
+    m = Matrix.zero(P3, 3, 3)
+    basis = kernel_of(m)
+    assert basis == ({0: cyc(1)}, {1: cyc(1)}, {2: cyc(1)})
+    assert coords(P3, basis, m.cols) == dense_kernel(P3, m.entries, m.cols)
+
+
+def test_kernel_of_invertible_matrix_is_empty():
+    m = Matrix(P3, [[cyc(1), cyc(1)], [cyc(0), cyc(2)]])
+    assert kernel_of(m) == () == dense_kernel(P3, m.entries, m.cols)
+    assert rank_of(m) == 2 == dense_rank(m.entries)
+
+
+def test_kernel_requires_field():
+    m = Matrix.identity(GENERIC, 2)
+    with pytest.raises(ValueError, match="field domain"):
+        kernel_of(m)
+    with pytest.raises(ValueError, match="field domain"):
+        rank_of(m)
+
+
+def test_rank_examples():
+    assert rank_of(Matrix.identity(P3, 4)) == 4 == dense_rank(Matrix.identity(P3, 4).entries)
+    assert rank_of(Matrix.zero(P3, 3, 5)) == 0 == dense_rank(Matrix.zero(P3, 3, 5).entries)
+
+
+def check_kernel_and_rank(m):
+    """The kernel and rank of m equal the dense reference, rank + nullity is
+    the number of columns, and m sends every kernel vector to zero."""
+    basis = kernel_of(m)
+    assert coords(m.domain, basis, m.cols) == dense_kernel(m.domain, m.entries, m.cols)
+    assert rank_of(m) == dense_rank(m.entries) == m.cols - len(basis)
+    assert all(m.apply(v) == {} for v in basis)
+
+
+def test_kernel_vectors_are_exact_solutions():
+    m = Matrix(P3, [
+        [cyc(1), cyc(2), cyc(3)],
+        [cyc(2), cyc(4), cyc(6)],
+    ])
+    assert len(kernel_of(m)) == 2
+    check_kernel_and_rank(m)
+
+
+small_cyc_matrices = st.lists(
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
+    min_size=2, max_size=4,
+).map(lambda rows: Matrix(P3, [[cyc(x) for x in row] for row in rows]))
+
+
+@given(small_cyc_matrices)
+def test_rank_nullity_and_exactness(m):
+    check_kernel_and_rank(m)
+
+
+def row_maps(m, cuts):
+    """The rows of m split at the cut points, each block as a map on vectors."""
+    bounds = [0, *sorted(cuts), m.rows]
+    blocks = [Matrix(m.domain, m.entries[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [b.apply for b in blocks if b.rows]
+
+
+def shift(v):
+    """The cyclic shift e_k -> e_(k+1 mod 3) on sparse vectors."""
+    return {(k + 1) % 3: x for k, x in v.items()}
+
+
+@st.composite
+def cyc_matrices(draw):
+    p = draw(st.sampled_from([3, 4, 5]))
+    rows = draw(st.integers(min_value=0, max_value=6))
+    cols = draw(st.integers(min_value=0, max_value=5))
+    domain = root_of_unity(p)
+    entries = draw(st.lists(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2)),
+                                     min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows))
+    return Matrix.from_columns(domain, rows, [
+        {r: domain.from_int(row[c][0]) * domain.q_power(row[c][1]) for r, row in enumerate(entries)}
+        for c in range(cols)])
+
+
 def check_against_dense_reference(m, maps):
-    """kernel, rank and the joint kernel of maps (which must cut out the
-    kernel of m) equal plain dense Gauss-Jordan elimination exactly."""
-    expected = dense_kernel(m.domain, m.entries, m.cols)
-    assert tuple(v.column_coords() for v in kernel(m)) == expected
-    assert rank(m) == dense_rank(m.entries) == m.cols - len(expected)
+    """The kernel and rank of m and the joint kernel of maps (which must cut
+    out the kernel of m) equal plain dense Gauss-Jordan elimination exactly."""
+    check_kernel_and_rank(m)
     joint = joint_kernel(m.domain, m.cols, maps)
     assert all(all(v.values()) for v in joint)
-    zero = m.domain.zero()
-    assert tuple(tuple(v.get(k, zero) for k in range(m.cols)) for v in joint) == expected
+    assert coords(m.domain, joint, m.cols) == dense_kernel(m.domain, m.entries, m.cols)
 
 
 @given(cyc_matrices(), st.lists(st.integers(min_value=0, max_value=6), max_size=4),
@@ -192,8 +207,9 @@ def test_empty_and_zero_matrices_match_dense_reference(p, rows, cols):
 @pytest.mark.parametrize("rows, cols, inner", [
     (12, 4, 2), (12, 5, 5), (4, 12, 3), (5, 12, 5), (0, 5, 0), (5, 0, 0)])
 def test_rank_of_tall_and_wide_matrices_matches_dense_reference(p, rows, cols, inner):
-    """A tall matrix reduces its rows, a wide one its columns; the product of
-    a rows x inner and an inner x cols grid has rank at most inner."""
+    """The rank of the columns and of the rows, of tall and of wide matrices;
+    the product of a rows x inner and an inner x cols grid has rank at most
+    inner."""
     domain, rng = root_of_unity(p), random.Random(f"{p} {rows} {cols}")
 
     def grid(r, c):
@@ -206,7 +222,9 @@ def test_rank_of_tall_and_wide_matrices_matches_dense_reference(p, rows, cols, i
     m = Matrix.from_columns(domain, rows, [{r: row[c] for r, row in enumerate(product)}
                                            for c in range(cols)])
     assert (m.rows, m.cols) == (rows, cols)
-    assert rank(m) == dense_rank(product) <= inner
+    rows_as_vectors = [{c: x for c, x in enumerate(row) if x} for row in product]
+    assert rank_of(m) == dense_rank(product) <= inner
+    assert closure_dimension(domain, rows_as_vectors, ()) == rank_of(m)
 
 
 def test_joint_kernel_without_maps_is_the_identity_basis():
@@ -243,8 +261,9 @@ def test_explicit_zeros_in_maps_and_vectors():
 def test_kernel_is_echelon_normalized():
     # duplicated columns: kernel pivots on the free column with coefficient one
     m = Matrix(P3, [[cyc(1), cyc(1)]])
-    (v,) = kernel(m)
-    assert v.column_coords() == (cyc(-1), cyc(1))
+    (v,) = kernel_of(m)
+    assert v == {0: cyc(-1), 1: cyc(1)}
+    assert coords(P3, (v,), m.cols) == dense_kernel(P3, m.entries, m.cols)
 
 
 def test_specialize_matrix_entrywise():
@@ -325,7 +344,7 @@ def test_sparse_matrix_agrees_with_dense_reference(grids):
     expected = {r: row[0] for r, row in enumerate(product) if row[0]}
     assert ma.apply(dict(enumerate(column))) == expected
     if not domain.is_generic:
-        assert rank(ma) == dense_rank(a)
+        assert rank_of(ma) == dense_rank(a)
 
 
 def test_from_columns_validates():

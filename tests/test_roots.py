@@ -79,6 +79,8 @@ def test_analyze_validation():
         analyze(Partition((3, 2, 1)), 3)
     with pytest.raises(ValueError):
         analyze(Partition((3, 2)), 2)
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        analyze(Partition((3, 2)), 1025)
 
 
 def test_admissible_multiplier_unique_when_present():
@@ -177,20 +179,20 @@ def test_oracle_worked_example():
 
 
 def test_generated_span_rank_is_four():
-    # stack word images of the kernel vector and take a plain rank
+    # the rank of the word images of the kernel vector: a closure with no maps
     from itertools import product
 
-    from qspecht.linalg import Matrix, rank
+    from qspecht.linalg import closure_dimension
     from qspecht.specht import apply_word
 
     lam = Partition((3, 2))
     (generator,) = find_submodule_generators(lam, Partition((4, 1)), 3)
-    rows = []
+    images = []
     for length in range(0, 4):
         for word in product(range(1, 5), repeat=length):
-            rows.append(apply_word(word, generator).coords)
-    span = Matrix(root_of_unity(3), rows)
-    assert rank(span) == 4
+            coords = apply_word(word, generator).coords
+            images.append({k: x for k, x in enumerate(coords) if x})
+    assert closure_dimension(root_of_unity(3), images, ()) == 4
 
 
 def test_oracle_empty_when_irreducible():
