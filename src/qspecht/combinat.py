@@ -104,17 +104,6 @@ class Tableau:
     def n(self) -> int:
         return sum(len(row) for row in self.rows)
 
-    def position(self, entry: int) -> tuple[int, int]:
-        """0-based (row, column) of an entry."""
-        for r, row in enumerate(self.rows):
-            for c, value in enumerate(row):
-                if value == entry:
-                    return (r, c)
-        raise ValueError(f"entry {entry} not in tableau {self}")
-
-    def entry(self, r: int, c: int) -> int:
-        return self.rows[r][c]
-
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(row[c] for row in self.rows if len(row) > c)
 
@@ -133,14 +122,6 @@ class Tableau:
             if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
                 return False
         return True
-
-    def with_swapped(self, a: int, b: int) -> "Tableau":
-        """Swap the entries a and b (values, not positions)."""
-        n = self.n
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"entries {a} and {b} must both lie in 1..{n}")
-        swap = {a: b, b: a}
-        return Tableau._unchecked(tuple(tuple(swap.get(v, v) for v in row) for row in self.rows))
 
     def __str__(self):
         return "/".join(",".join(str(v) for v in row) for row in self.rows)
@@ -175,10 +156,6 @@ class Permutation:
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -194,9 +171,6 @@ class Permutation:
             for j in range(i + 1, len(images))
             if images[i] > images[j]
         )
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
 
 
 def reduced_word(w: Permutation) -> tuple[int, ...]:

@@ -14,8 +14,10 @@ irreducible quotient; their count reproduces the dimension formula.
 
 A brute-force oracle, valid for any shapes, searches S^lambda for
 vectors killed by every column and Garnir element of a candidate mu;
-a nonzero kernel certifies the submodule.  The oracle and the submodule
-closure apply the module's action to vectors and build no matrix.
+the kernel is Hom(S^mu, S^lambda), and a nonzero kernel certifies a
+submodule that is a quotient of S^mu (for two rows and mu != lambda,
+the irreducible submodule).  The oracle and the submodule closure apply
+the module's action to vectors and build no matrix.
 """
 
 from __future__ import annotations
@@ -200,9 +202,13 @@ def enumerate_p_root_standard(shape: Partition, p: int) -> tuple[Tableau, ...]:
 def find_submodule_generators(lam: Partition, mu: Partition, p: int) -> tuple[SpechtVector, ...]:
     """Exact basis of the joint kernel in S^lam of all annihilators of mu.
 
-    A nonzero kernel certifies a vector behaving like the superstandard
-    generator of S^mu, hence an irreducible submodule labelled mu; an
-    empty kernel certifies there is none.
+    The kernel is Hom(S^mu, S^lam): each kernel vector is the image of the
+    superstandard generator of S^mu under a homomorphism, so a nonzero
+    kernel certifies a nonzero submodule of S^lam that is a quotient of
+    S^mu, and an empty kernel certifies there is none.  For two-row lam and
+    mu != lam, a nonzero kernel occurs only in the reducible case, and its
+    image is the irreducible submodule labelled mu; in general the image
+    need not be irreducible.
     """
     domain = root_of_unity(p)
     if lam.n != mu.n:

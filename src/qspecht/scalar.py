@@ -178,9 +178,6 @@ class _Polynomial:
 
     __slots__ = ("_p", "_low", "_coeffs", "_den", "_hash")
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __bool__(self):
         return bool(self._coeffs)
 

@@ -56,7 +56,8 @@ from .scalar import GENERIC, ScalarDomain, fold
 
 @dataclass(frozen=True)
 class SpechtVector:
-    """Coordinates in the ordered standard-tableau basis of one shape."""
+    """Coordinates in the ordered standard-tableau basis of one shape; the
+    oracle's result type (inside a module, a vector is terms)."""
 
     shape: Partition
     domain: ScalarDomain
@@ -66,10 +67,6 @@ class SpechtVector:
         if len(self.coords) != hook_count(self.shape):
             raise ValueError("coordinate count does not match the standard basis")
         self.domain.check_entries((self.coords,))
-
-    @classmethod
-    def basis_vector(cls, t: Tableau, domain: ScalarDomain) -> "SpechtVector":
-        return cls.from_terms(t.shape, {t: domain.one()}, domain)
 
     @classmethod
     def from_terms(cls, shape: Partition, terms: Mapping[Tableau, object],
@@ -86,41 +83,6 @@ class SpechtVector:
     def terms(self) -> dict[Tableau, object]:
         basis = specht_module(self.shape, self.domain).basis
         return {t: c for t, c in zip(basis, self.coords) if c}
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __add__(self, other: "SpechtVector") -> "SpechtVector":
-        if self.shape != other.shape or self.domain != other.domain:
-            raise ValueError("mixed shapes or domains")
-        return SpechtVector(self.shape, self.domain,
-                            tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, scalar) -> "SpechtVector":
-        return SpechtVector(self.shape, self.domain,
-                            tuple(scalar * c for c in self.coords))
-
-    def __sub__(self, other: "SpechtVector") -> "SpechtVector":
-        return self + other.scale(self.domain.from_int(-1))
-
-
-class TableauVector:
-    """Formal scalar combination of same-shape tableau vectors."""
-
-    def __init__(self, shape: Partition, domain: ScalarDomain,
-                 terms: Mapping[Tableau, object] = ()):
-        self.shape = shape
-        self.domain = domain
-        self.terms: dict[Tableau, object] = {}
-        items = list(terms.items() if isinstance(terms, Mapping) else terms)
-        for t, _ in items:
-            if t.shape != shape:
-                raise ValueError(f"tableau {t} does not have shape {shape}")
-        fold(self.terms, items, domain.one())
-
-    @classmethod
-    def single(cls, t: Tableau, domain: ScalarDomain) -> "TableauVector":
-        return cls(t.shape, domain, {t: domain.one()})
 
 
 def _garnir_pools(shape: Partition) -> dict[tuple[int, int], tuple[int, int, int]]:
@@ -362,33 +324,9 @@ def specht_module(shape: Partition, domain: ScalarDomain) -> SpechtModule:
     return SpechtModule(shape, domain)
 
 
-def straighten(v: TableauVector) -> SpechtVector:
-    """Rewrite a tableau vector in the standard basis."""
-    module = specht_module(v.shape, v.domain)
-    return SpechtVector(v.shape, v.domain, module.coords(module.straighten(v.terms)))
-
-
 def _check_generator_index(i: int, n: int):
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-
-
-def apply_generator(i: int, v: SpechtVector) -> SpechtVector:
-    """The natural action of h_i, straightened back to the basis."""
-    _check_generator_index(i, v.shape.n)
-    module = specht_module(v.shape, v.domain)
-    return SpechtVector(v.shape, v.domain,
-                        module.coords(module.act_generator(i, module.terms(v.coords))))
-
-
-def apply_word(word: Iterable[int], v: SpechtVector) -> SpechtVector:
-    """Left action of h_{i1} h_{i2} ... h_{ik}, applied right to left."""
-    word = tuple(word)
-    for i in word:
-        _check_generator_index(i, v.shape.n)
-    module = specht_module(v.shape, v.domain)
-    return SpechtVector(v.shape, v.domain,
-                        module.coords(module.act_word(word, module.terms(v.coords))))
 
 
 def generator_matrix(shape: Partition, i: int, domain: ScalarDomain = GENERIC) -> Matrix:

@@ -97,7 +97,7 @@ def test_precedes():
 
 def test_word_of_tableau():
     base = superstandard(Partition((3, 2)))
-    assert word_of_tableau(base).is_identity()
+    assert word_of_tableau(base) == Permutation((1, 2, 3, 4, 5))
     w = word_of_tableau(Tableau.parse("1,2/3"))
     assert w.images == (1, 3, 2)
     # every filling, standard or not (Garnir candidates are not), of every
@@ -112,7 +112,7 @@ def test_word_of_tableau():
                 images = [0] * n
                 for r, row in enumerate(base.rows):
                     for c, v in enumerate(row):
-                        images[v - 1] = t.entry(r, c)
+                        images[v - 1] = t.rows[r][c]
                 reference = Permutation(tuple(images))
                 w = word_of_tableau(t)
                 assert w == reference
@@ -124,7 +124,7 @@ def test_word_of_tableau():
 
 
 def test_reduced_word_examples():
-    assert reduced_word(Permutation.identity(4)) == ()
+    assert reduced_word(Permutation((1, 2, 3, 4))) == ()
     assert reduced_word(Permutation((1, 3, 2))) == (2,)
     longest = Permutation((3, 2, 1))
     word = reduced_word(longest)

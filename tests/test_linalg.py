@@ -268,7 +268,7 @@ def test_kernel_is_echelon_normalized():
 
 def test_specialize_matrix_entrywise():
     m = Matrix(GENERIC, [[LaurentScalar({0: 1, 1: 1, 2: 1})]])
-    assert specialize_matrix(m, 3)[0, 0].is_zero()
+    assert not specialize_matrix(m, 3)[0, 0]
     with pytest.raises(ValueError):
         specialize_matrix(specialize_matrix(m, 3), 3)
 

@@ -81,7 +81,7 @@ def dense_mod_p_fold(x, p):
 
 
 def test_specialize_examples():
-    assert specialize(one + q + q * q, 3).is_zero()
+    assert not specialize(one + q + q * q, 3)
     assert specialize(LaurentScalar.q_power(3), 3) == 1
     assert specialize(LaurentScalar.q_power(-1), 5) == root_of_unity(5).q_power(4)
 
@@ -105,7 +105,7 @@ def test_cyclotomic_field_inverse():
 def test_cyclotomic_canonical_zero():
     x = CyclotomicScalar(3, (Fraction(1, 2), 3))
     assert (x - x).coeffs == ()
-    assert (x - x).is_zero()
+    assert not x - x
 
 
 def test_mixed_domains_raise():
@@ -129,7 +129,7 @@ def test_specialize_is_ring_homomorphism(x, y, p):
 
 @given(ORDERS)
 def test_specialize_kills_cyclotomic(p):
-    assert specialize(cyclotomic_polynomial(p), p).is_zero()
+    assert not specialize(cyclotomic_polynomial(p), p)
 
 
 @given(laurent_scalars, laurent_scalars, laurent_scalars, ORDERS)
@@ -332,7 +332,7 @@ def test_subtraction_is_addition_of_the_negation(x, y, n, p):
         assert u - v == u + (-v)
         assert u - n == u + (-n)
         assert n - u == -u + n
-        assert (u - u).is_zero()
+        assert not u - u
     # cancellation at either end leaves the canonical form of x
     difference = (x + y) - y
     assert difference.terms == x.terms

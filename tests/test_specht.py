@@ -18,9 +18,6 @@ from qspecht.scalar import GENERIC, LaurentScalar, root_of_unity
 from qspecht.specht import (
     SpechtModule,
     SpechtVector,
-    TableauVector,
-    apply_generator,
-    apply_word,
     character_trace,
     column_elements,
     defining_relation_checks,
@@ -31,7 +28,6 @@ from qspecht.specht import (
     generator_matrix,
     generator_relation_checks,
     specht_module,
-    straighten,
     verify_annihilators,
 )
 
@@ -50,18 +46,25 @@ def all_partitions(n, maxpart=None):
 
 
 def vector_of(text, domain=GENERIC):
-    return SpechtVector.basis_vector(Tableau.parse(text), domain)
+    """The module of the tableau's shape and v_t straightened in it, as terms."""
+    t = Tableau.parse(text)
+    module = specht_module(t.shape, domain)
+    return module, module.straighten({t: domain.one()})
 
 
-def terms_as_strings(v):
-    return {str(t): str(c) for t, c in v.terms().items()}
+def tableau_terms(module, terms):
+    return {module.basis[j]: c for j, c in terms.items()}
+
+
+def terms_as_strings(module, terms):
+    return {str(t): str(c) for t, c in tableau_terms(module, terms).items()}
 
 
 # -------------------------------------------------------------------- vectors
 
 def test_vector_rejects_tableaux_outside_the_basis():
     with pytest.raises(ValueError, match=r"2,1,3/4,5 .* shape 3,2"):
-        SpechtVector.basis_vector(Tableau.parse("2,1,3/4,5"), GENERIC)
+        SpechtVector.from_terms(S32, {Tableau.parse("2,1,3/4,5"): GENERIC.one()}, GENERIC)
     with pytest.raises(ValueError, match=r"1,2/3 .* shape 3,2"):
         SpechtVector.from_terms(S32, {Tableau.parse("1,2/3"): LaurentScalar(1)}, GENERIC)
 
@@ -76,19 +79,18 @@ def test_vector_rejects_coordinates_from_another_domain():
 # ---------------------------------------------------------------- straighten
 
 def test_straighten_standard_is_identity():
+    module = specht_module(S32, GENERIC)
     for t in enumerate_standard(S32):
-        v = straighten(TableauVector.single(t, GENERIC))
-        assert v.terms() == {t: LaurentScalar(1)}
+        v = module.straighten({t: GENERIC.one()})
+        assert tableau_terms(module, v) == {t: LaurentScalar(1)}
 
 
 def test_straighten_column_relation():
-    v = straighten(TableauVector.single(Tableau.parse("2,3,5/1,4"), GENERIC))
-    assert terms_as_strings(v) == {"1,3,5/2,4": "-1"}
+    assert terms_as_strings(*vector_of("2,3,5/1,4")) == {"1,3,5/2,4": "-1"}
 
 
 def test_straighten_garnir_chain():
-    v = straighten(TableauVector.single(Tableau.parse("2,1,3/4,5"), GENERIC))
-    assert terms_as_strings(v) == {
+    assert terms_as_strings(*vector_of("2,1,3/4,5")) == {
         "1,2,3/4,5": "q",
         "1,3,4/2,5": "-q^3",
         "1,3,5/2,4": "q^4",
@@ -143,13 +145,12 @@ def row_descents(t):
             if row[c] > row[c + 1]]
 
 
-@given(random_filling(), st.data())
-def test_internally_built_tableaux_are_valid(t, data):
-    # swaps, the superstandard tableau, the basis and Garnir candidates skip
+@given(random_filling())
+def test_internally_built_tableaux_are_valid(t):
+    # the superstandard tableau, the basis and Garnir candidates skip
     # validation: each must be a tableau that validation accepts, with rows
     # stored as tuples
-    a, b = (data.draw(st.integers(min_value=1, max_value=t.n)) for _ in range(2))
-    built = [t.with_swapped(a, b), superstandard(t.shape), *enumerate_standard(t.shape)]
+    built = [superstandard(t.shape), *enumerate_standard(t.shape)]
     for r, c in row_descents(t):
         relation = garnir_relation_terms(t, r, c, GENERIC)
         built.extend(relation)
@@ -160,87 +161,85 @@ def test_internally_built_tableaux_are_valid(t, data):
         assert u == Tableau(u.rows) and u.shape == t.shape
 
 
-def test_with_swapped_rejects_entries_outside_the_tableau():
-    with pytest.raises(ValueError, match="1..5"):
-        Tableau.parse("1,3,5/2,4").with_swapped(5, 6)
-
-
 @given(random_filling())
 def test_every_garnir_relation_straightens_to_zero(t):
     # straightening removes the first row descent; the relation at every
     # other descent must vanish all the same
+    module = specht_module(t.shape, GENERIC)
     for r, c in row_descents(t):
-        relation = TableauVector(t.shape, GENERIC, garnir_relation_terms(t, r, c))
-        assert straighten(relation).is_zero(), (t, r, c)
+        assert module.straighten(garnir_relation_terms(t, r, c)) == {}, (t, r, c)
 
 
 # -------------------------------------------------------------------- action
 
+def action_as_strings(i, text):
+    module, v = vector_of(text)
+    return terms_as_strings(module, module.act_generator(i, v))
+
+
 def test_action_on_column_pair():
-    v = apply_generator(1, vector_of("1,3,5/2,4"))
-    assert terms_as_strings(v) == {"1,3,5/2,4": "-1"}
+    assert action_as_strings(1, "1,3,5/2,4") == {"1,3,5/2,4": "-1"}
 
 
 def test_action_with_garnir_step():
-    v = apply_generator(1, vector_of("1,2,5/3,4"))
-    assert terms_as_strings(v) == {"1,2,5/3,4": "q", "1,3,5/2,4": "-q^2"}
+    assert action_as_strings(1, "1,2,5/3,4") == {"1,2,5/3,4": "q", "1,3,5/2,4": "-q^2"}
 
 
 def test_action_row_end_cases():
     # second row of the action rule: i+1 precedes i
-    v = apply_generator(4, vector_of("1,3,4/2,5"))
-    assert terms_as_strings(v) == {"1,3,5/2,4": "q", "1,3,4/2,5": "-1 + q"}
+    assert action_as_strings(4, "1,3,4/2,5") == {"1,3,5/2,4": "q", "1,3,4/2,5": "-1 + q"}
 
 
 def test_hand_derived_columns():
-    v = apply_generator(3, vector_of("1,2,5/3,4"))
-    assert terms_as_strings(v) == {"1,3,5/2,4": "-q^2", "1,2,5/3,4": "q"}
-    v = apply_generator(4, vector_of("1,2,3/4,5"))
-    assert terms_as_strings(v) == {
+    assert action_as_strings(3, "1,2,5/3,4") == {"1,3,5/2,4": "-q^2", "1,2,5/3,4": "q"}
+    assert action_as_strings(4, "1,2,3/4,5") == {
         "1,3,5/2,4": "q^4", "1,3,4/2,5": "-q^3", "1,2,3/4,5": "q",
     }
 
 
-def test_apply_generator_index_range():
-    with pytest.raises(ValueError):
-        apply_generator(5, vector_of("1,3,5/2,4"))
-    with pytest.raises(ValueError):
-        apply_generator(0, vector_of("1,3,5/2,4"))
+def test_generator_index_range():
+    for i in (0, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            generator_matrix(S32, i)
+    with pytest.raises(ValueError, match="out of range"):
+        character_trace(S32, (1, 5))
 
 
 def test_quadratic_consequence_in_both_domains():
     # h_i(h_i v) = (q-1) h_i v + q v; the q = 1 involution case is the
     # image of this identity and q = 1 itself lies outside both domains
     for domain in (GENERIC, root_of_unity(3)):
+        module = specht_module(S32, domain)
+        rhs = ((domain.q() - domain.one(), (2,)), (domain.q(), ()))
         for t in enumerate_standard(S32):
-            v = SpechtVector.basis_vector(t, domain)
-            twice = apply_generator(2, apply_generator(2, v))
-            expected = apply_generator(2, v).scale(domain.q() - domain.one()) + v.scale(domain.q())
-            assert twice == expected
+            v = {module.index[t]: domain.one()}
+            twice = module.act_generator(2, module.act_generator(2, v))
+            assert twice == module.apply_element(rhs, v)
 
 
-def test_apply_word():
-    v = vector_of("1,2,5/3,4")
-    assert apply_word((), v) == v
-    lhs = apply_word((1, 1), v)
-    rhs = apply_generator(1, v).scale(q - 1) + v.scale(q)
+def test_act_word():
+    module, v = vector_of("1,2,5/3,4")
+    assert module.act_word((), v) == v
+    lhs = module.act_word((1, 1), v)
+    rhs = module.apply_element(((q - 1, (1,)), (q, ())), v)
     assert lhs == rhs
-    composed = apply_word((2, 1), v)
-    stepwise = apply_generator(2, apply_generator(1, v))
+    composed = module.act_word((2, 1), v)
+    stepwise = module.act_generator(2, module.act_generator(1, v))
     assert composed == stepwise
 
 
-def test_apply_word_large_shape_matches_garnir_term():
+def test_act_word_large_shape_matches_garnir_term():
     shape = Partition((6, 3, 3, 1))
     element = garnir_element(shape, 6)
     assert (7, 6, 8, 7) in element.words
-    v = SpechtVector.basis_vector(superstandard(shape), GENERIC)
-    image = apply_word((7, 6, 8, 7), v)
+    module = specht_module(shape, GENERIC)
+    v = {module.index[superstandard(shape)]: GENERIC.one()}
+    image = module.act_word((7, 6, 8, 7), v)
     stepwise = v
     for i in (7, 8, 6, 7):
-        stepwise = apply_generator(i, stepwise)
+        stepwise = module.act_generator(i, stepwise)
     assert image == stepwise
-    assert not image.is_zero()
+    assert image
 
 
 # ---------------------------------------------------------- generator matrix
@@ -265,10 +264,8 @@ def test_generator_matrix_quadratic_identity():
 
 def test_one_dimensional_modules():
     # single row: the straightening oracle says the swap gives q times the row
-    row = Tableau.parse("1,2,3,4,5")
-    swapped = row.with_swapped(2, 3)
-    v = straighten(TableauVector.single(swapped, GENERIC))
-    assert v.terms() == {row: q}
+    module, v = vector_of("1,3,2,4,5")
+    assert tableau_terms(module, v) == {Tableau.parse("1,2,3,4,5"): q}
     m = generator_matrix(Partition((5,)), 2, GENERIC)
     assert [[str(x) for x in r] for r in m.entries] == [["q"]]
     m = generator_matrix(Partition((1, 1, 1, 1)), 3, GENERIC)
@@ -352,7 +349,7 @@ def alternative_reduced_word(w):
 def test_word_action_is_well_defined():
     # h(w) must not depend on the chosen reduced word
     rng = random.Random(3)
-    basis = enumerate_standard(S32)
+    module = specht_module(S32, GENERIC)
     checked = 0
     while checked < 100:
         images = list(range(1, 6))
@@ -363,9 +360,9 @@ def test_word_action_is_well_defined():
         if word_a == word_b:
             continue
         checked += 1
-        for t in basis:
-            v = SpechtVector.basis_vector(t, GENERIC)
-            assert apply_word(word_a, v) == apply_word(word_b, v)
+        for j in range(len(module.basis)):
+            v = {j: GENERIC.one()}
+            assert module.act_word(word_a, v) == module.act_word(word_b, v)
 
 
 # --------------------------------------------------------------- annihilators
@@ -398,6 +395,11 @@ def test_garnir_element_internal_form():
     )
 
 
+def cell_of(t, entry):
+    """0-based (row, column) of an entry of t."""
+    return next((r, c) for r, row in enumerate(t.rows) for c, v in enumerate(row) if v == entry)
+
+
 def test_garnir_element_term_count_is_binomial():
     # interval {a..d} splits into blocks of sizes b-a+1 and d-b
     from math import comb
@@ -406,9 +408,9 @@ def test_garnir_element_term_count_is_binomial():
     base = superstandard(shape)
     heights = shape.column_heights()
     for a in garnir_anchors(shape):
-        r, c = base.position(a)
-        d = base.entry(r, c + 1)
-        b = base.entry(heights[c] - 1, c)
+        r, c = cell_of(base, a)
+        d = base.rows[r][c + 1]
+        b = base.rows[heights[c] - 1][c]
         assert len(garnir_element(shape, a).words) == comb(d - a + 1, b - a + 1)
 
 
@@ -418,8 +420,8 @@ def reference_garnir_words(shape, a):
     superstandard tableau): images increasing on both blocks, as reduced
     words in (length, word) order."""
     base = superstandard(shape)
-    r, c = base.position(a)
-    b, d = base.entry(shape.column_heights()[c] - 1, c), base.entry(r, c + 1)
+    r, c = cell_of(base, a)
+    b, d = base.rows[shape.column_heights()[c] - 1][c], base.rows[r][c + 1]
     words = []
     for left in combinations(range(a, d + 1), b - a + 1):
         images = list(range(1, shape.n + 1))
@@ -545,7 +547,7 @@ def test_memo_keys_are_column_sorted_and_nonstandard(parts):
 
 @pytest.mark.parametrize("p", [None, 3, 4], ids=["generic", "p3", "p4"])
 def test_generator_matrix_columns_are_generator_images(p):
-    # the matrix reads the action table; the columns come from apply_generator
+    # the matrix reads the action table; the columns come from act_generator
     # in a fresh module, on the basis vectors in reverse order, so the memo
     # fills in another order
     domain = GENERIC if p is None else root_of_unity(p)
@@ -556,7 +558,8 @@ def test_generator_matrix_columns_are_generator_images(p):
             for i in range(1, n):
                 matrix = generator_matrix(shape, i, domain)
                 specht_module.cache_clear()
-                columns = [apply_generator(i, SpechtVector.basis_vector(t, domain)).coords
+                module = specht_module(shape, domain)
+                columns = [module.coords(module.act_generator(i, {module.index[t]: domain.one()}))
                            for t in reversed(basis)][::-1]
                 assert matrix.entries == tuple(zip(*columns)), (parts, i)
 
