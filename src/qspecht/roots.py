@@ -16,8 +16,9 @@ A brute-force oracle, valid for any shapes, searches S^lambda for
 vectors killed by every column and Garnir element of a candidate mu;
 the kernel is Hom(S^mu, S^lambda), and a nonzero kernel certifies a
 submodule that is a quotient of S^mu (for two rows and mu != lambda,
-the irreducible submodule).  The oracle and the submodule closure apply
-the module's action to vectors and build no matrix.
+the irreducible submodule).  The oracle applies the module's action to
+vectors; the submodule closure applies the generator matrices, which keep
+its echelon coefficients out of the module's product and sum tables.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .specht import (
     SpechtVector,
     column_elements,
     garnir_elements,
+    generator_matrix,
     specht_module,
 )
 
@@ -231,5 +233,5 @@ def submodule_dimension(lam: Partition, generators, p: int) -> int:
         if v.shape != lam or v.domain != domain:
             raise ValueError("generator does not live in the requested module")
         vectors.append(module.terms(v.coords))
-    maps = [partial(module.act_generator, i) for i in range(1, lam.n)]
+    maps = [generator_matrix(lam, i, domain).apply for i in range(1, lam.n)]
     return closure_dimension(domain, vectors, maps)

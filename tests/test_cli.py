@@ -63,6 +63,10 @@ GOLDEN_VERIFY = {
         "4b11012a689458d9a69081acd876e1318d82743d7dc40fa3f45141ddef9593e6",
     ("--shape", "4,3,2,1", "--full", "--json"):
         "c2285dc58e8373bd00599492d4ab9b051d1decb2877df54dacea496888b0481c",
+    # generator-vector mode, recorded before the action folded through the
+    # module's product and sum tables
+    ("--shape", "6,3,3,1", "--json"):
+        "6886f3919ca2975e1498ad5688eda875f641463f1d9dc733dd32e7fb56b39cb9",
 }
 
 

@@ -222,6 +222,19 @@ def test_submodule_dimension_edges():
     assert submodule_dimension(lam, [base], 3) == hook_count(lam)
 
 
+def test_closure_leaves_the_module_tables_alone():
+    # closure vectors carry echelon coefficients, which do not repeat: acting on
+    # them through the module's tables would grow the tables without bound
+    lam, p = Partition((5, 4)), 3
+    report = analyze(lam, p)
+    specht_module.cache_clear()
+    generators = find_submodule_generators(lam, report.submodule_shape, p)
+    module = specht_module(lam, root_of_unity(p))
+    sizes = len(module.products), len(module.sums)
+    assert submodule_dimension(lam, generators, p) == report.submodule_dim
+    assert (len(module.products), len(module.sums)) == sizes
+
+
 def test_oracle_agrees_with_window_small():
     # the full n <= 8 sweep lives in the acceptance suite; spot-check n <= 6
     for shape in two_row_shapes(6):

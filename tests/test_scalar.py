@@ -361,9 +361,7 @@ def fold_cases(draw):
     return domain, acc, pairs, scale
 
 
-@given(fold_cases())
-def test_fold_matches_the_naive_accumulate(case):
-    domain, acc, pairs, scale = case
+def naive_accumulate(domain, acc, pairs, scale):
     expected = dict(acc)
     for k, x in pairs:
         value = expected.get(k, domain.zero()) + scale * x
@@ -371,9 +369,35 @@ def test_fold_matches_the_naive_accumulate(case):
             expected[k] = value
         elif k in expected:
             del expected[k]
+    return expected
+
+
+@given(fold_cases())
+def test_fold_matches_the_naive_accumulate(case):
+    domain, acc, pairs, scale = case
+    expected = naive_accumulate(domain, acc, pairs, scale)
     fold(acc, iter(pairs), scale)
     assert acc == expected
     assert all(acc.values())
+
+
+@given(fold_cases())
+def test_fold_through_tables_matches_the_naive_accumulate(case):
+    domain, acc, pairs, scale = case
+    expected = naive_accumulate(domain, acc, pairs, scale)
+    products, sums = {}, {}
+    first = dict(acc)
+    fold(first, iter(pairs), scale, products, sums)
+    sizes = len(products), len(sums)
+    # the second fold repeats every product and sum, so each is a lookup
+    second = dict(acc)
+    fold(second, iter(pairs), scale, products, sums)
+    assert (len(products), len(sums)) == sizes
+    for out in (first, second):
+        assert out == expected
+        assert all(out.values())
+    assert all(c == a * b for (a, b), c in products.items())
+    assert all(c == a + b for (a, b), c in sums.items())
 
 
 @pytest.mark.parametrize("domain", [GENERIC, root_of_unity(5)])

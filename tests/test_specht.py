@@ -18,6 +18,7 @@ from qspecht.scalar import GENERIC, LaurentScalar, root_of_unity
 from qspecht.specht import (
     SpechtModule,
     SpechtVector,
+    annihilator_checks,
     character_trace,
     column_elements,
     defining_relation_checks,
@@ -564,14 +565,21 @@ def test_generator_matrix_columns_are_generator_images(p):
                 assert matrix.entries == tuple(zip(*columns)), (parts, i)
 
 
-@pytest.mark.parametrize("p", [None, 3, 4], ids=["generic", "p3", "p4"])
-def test_product_and_sum_tables_are_exact_and_per_module(p):
-    shape = Partition((4, 3, 2, 1))
+@pytest.mark.parametrize("parts,p,action", [
+    ((4, 3, 2, 1), None, False), ((4, 3, 2, 1), 3, False), ((4, 3, 2, 1), 4, False),
+    ((3, 2, 1), None, True), ((3, 2, 1), 3, True),
+], ids=["generic", "p3", "p4", "action-generic", "action-p3"])
+def test_product_and_sum_tables_are_exact_and_per_module(parts, p, action):
+    shape = Partition(parts)
     domain = GENERIC if p is None else root_of_unity(p)
     specht_module.cache_clear()
     module = specht_module(shape, domain)
     for i in range(1, shape.n):
         generator_matrix(shape, i, domain)
+    if action:
+        # act_generator and apply_element fold general vectors through the tables
+        assert all(ok for _, ok in defining_relation_checks(shape, domain))
+        assert all(ok for _, ok in annihilator_checks(shape, domain))
     assert module.products and module.sums
     for key, c in module.products.items():
         if isinstance(key, int):
